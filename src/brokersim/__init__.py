@@ -42,7 +42,6 @@ from .policies import (
     FixedPricePolicy,
     FixedQuantilePolicy,
     MedianPolicy,
-    PolicyAction,
     PricePolicy,
     StockLimitedPolicy,
     build_policy,

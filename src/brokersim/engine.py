@@ -14,8 +14,11 @@ kept their item plus buyers who obtained one.
 Draws are inverse-transform: step t consumes one uniform u and the value is
 ``quantile(u)``.  Accept/reject comparisons are made in quantile space
 (seller trades iff u < F_S(q), buyer iff u >= F_B(p)), which is the same
-event as the value-space rule up to ties of measure zero and makes the
-scalar and vectorized paths agree bit for bit.
+event as the value-space rule up to ties of measure zero.
+
+One kernel, ``_resolve``, decides every trade, for Monte Carlo chunks and for
+``run_trial`` (width 1, per-step trace).  Logs are scored in step order, the
+kernel's order, so a traced trial scores exactly as it does inside a run.
 
 Determinism: trial i draws from an independent substream derived from
 (seed, i), and estimates reduce in trial-index order with compensated
@@ -94,38 +97,44 @@ class TradeLog:
 
     @property
     def spend(self) -> float:
-        mask = self.traded & (self.roles == SELLER)
-        return float(np.sum(self.prices[mask]))
+        return _step_sum(self.prices[self.traded & (self.roles == SELLER)])
 
     @property
     def income(self) -> float:
-        mask = self.traded & (self.roles == BUYER)
-        return float(np.sum(self.prices[mask]))
+        return _step_sum(self.prices[self.traded & (self.roles == BUYER)])
 
     @property
     def leftover_stock(self) -> int:
         return int(self.stock_after[-1]) if self.n else 0
 
     def validate(self, stock_cap: int | None = None) -> None:
-        """Fail fast on a broken stock trajectory."""
-        stock = 0
-        for t in range(self.n):
-            delta = int(self.stock_after[t]) - stock
-            if self.traded[t]:
-                expected = 1 if self.roles[t] == SELLER else -1
-                if delta != expected:
-                    raise ValueError(f"stock moved by {delta} on a trade at step {t}")
-                if self.roles[t] == BUYER and stock < 1:
-                    raise ValueError(f"short sale at step {t}")
-            elif delta != 0:
-                raise ValueError(f"stock moved without a trade at step {t}")
-            stock = int(self.stock_after[t])
-            if stock < 0:
-                raise ValueError(f"negative stock at step {t}")
-            if stock_cap is not None and stock > stock_cap:
-                raise ValueError(f"stock {stock} above cap {stock_cap} at step {t}")
-        if self.items_sold > self.items_bought:
-            raise ValueError("sold more items than bought")
+        """Fail fast on a broken stock trajectory.
+
+        Stock starts at 0, moves by +1 on a seller trade, -1 on a buyer trade
+        and not at all otherwise, never goes negative (a short sale) and
+        never exceeds ``stock_cap``.  Together these also imply that no more
+        items are sold than bought.
+        """
+        delta = np.diff(self.stock_after, prepend=0)
+        expected = np.where(self.traded, np.where(self.roles == SELLER, 1, -1), 0)
+        bad = np.flatnonzero(delta != expected)
+        if bad.size:
+            t = int(bad[0])
+            what = "on a trade" if self.traded[t] else "without a trade"
+            raise ValueError(f"stock moved by {int(delta[t])} {what} at step {t}")
+        short = np.flatnonzero(self.stock_after < 0)
+        if short.size:
+            raise ValueError(f"short sale at step {int(short[0])}")
+        if stock_cap is not None:
+            over = np.flatnonzero(self.stock_after > stock_cap)
+            if over.size:
+                t = int(over[0])
+                raise ValueError(f"stock {int(self.stock_after[t])} above cap {stock_cap} at step {t}")
+
+
+def _step_sum(x: np.ndarray) -> float:
+    """Left-to-right sum, the order in which the kernel accumulates."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
 
 
 def profit(log: TradeLog) -> float:
@@ -137,12 +146,7 @@ def welfare(log: TradeLog) -> float:
     """Values of sellers that kept their item plus buyers that got one."""
     kept = (log.roles == SELLER) & ~log.traded
     served = (log.roles == BUYER) & log.traded
-    return float(np.sum(log.values[kept]) + np.sum(log.values[served]))
-
-
-def _effective_cap(policy: PricePolicy, stock_cap: int | None) -> int | None:
-    caps = [c for c in (policy.stock_limit, stock_cap) if c is not None]
-    return min(caps) if caps else None
+    return _step_sum(log.values[kept | served])
 
 
 def run_trial(
@@ -155,68 +159,43 @@ def run_trial(
     uniforms: tuple[np.ndarray, np.ndarray] | None = None,
     stock_cap: int | None = None,
 ) -> TradeLog:
-    """Run one trial step by step and return the full trace.
+    """Run one trial through the Monte Carlo kernel and return its trace.
 
     Draws come either from ``rng`` (one uniform per step, in step order) or
     from explicit ``uniforms`` = (seller_uniforms, buyer_uniforms) indexed
     by role rank.  The explicit form is the coupling device: running two
     streams with the same arrays hands the j-th seller (and j-th buyer) of
-    both streams the same draw.
+    both streams the same draw.  Prices are NaN where the policy's own
+    stock limit declined a seller.
     """
     if (rng is None) == (uniforms is None):
         raise ValueError("provide exactly one of rng or uniforms")
-    if stock_cap is not None and stock_cap < 1:
-        raise ValueError(f"stock_cap must be positive or None, got {stock_cap}")
-    pol = policy.fresh()
-    cap = _effective_cap(pol, stock_cap)
-    n = len(stream)
-    roles = stream.roles.tolist()
-
+    price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
+    seller = stream.roles == SELLER
     if uniforms is None:
-        u_steps = rng.random(n)
+        row = rng.random(len(stream))
     else:
         u_sellers, u_buyers = (np.asarray(a, dtype=float) for a in uniforms)
         if u_sellers.size < stream.n_S or u_buyers.size < stream.n_B:
             raise ValueError("not enough uniforms for the stream's role counts")
+        row = np.empty(len(stream))
+        row[seller] = u_sellers[: stream.n_S]
+        row[~seller] = u_buyers[: stream.n_B]
 
-    prices = np.full(n, np.nan)
-    values = np.empty(n)
-    traded = np.zeros(n, dtype=bool)
-    stock_after = np.zeros(n, dtype=np.int64)
-    stock = 0
-    s_seen = b_seen = 0
+    def draws(start, depth):
+        return row[start : start + depth, None]
 
-    for t in range(n):
-        role = roles[t]
-        action = pol.quote_price(role)
-        if uniforms is None:
-            u = float(u_steps[t])
-        elif role == SELLER:
-            u = float(u_sellers[s_seen])
-        else:
-            u = float(u_buyers[b_seen])
+    _, traded, stock_after = _resolve(stream, price, thresh, cap, f_s, f_b, 1, draws, "leftover")
 
-        if role == SELLER:
-            s_seen += 1
-            values[t] = float(f_s.quantile(u))
-            if not action.declined:
-                prices[t] = action.price
-                if u < float(f_s.cdf(action.price)) and (cap is None or stock < cap):
-                    traded[t] = True
-                    stock += 1
-        else:
-            b_seen += 1
-            values[t] = float(f_b.quantile(u))
-            prices[t] = action.price
-            if u >= float(f_b.cdf(action.price)) and stock > 0:
-                traded[t] = True
-                stock -= 1
-        pol.update_on_outcome(role, bool(traded[t]))
-        if pol.stock != stock:
-            raise RuntimeError(f"policy stock {pol.stock} diverged from engine stock {stock}")
-        stock_after[t] = stock
-
-    return TradeLog(stream.roles, prices, values, traded, stock_after)
+    values = np.empty(len(stream))
+    values[seller] = f_s.quantile(row[seller])
+    values[~seller] = f_b.quantile(row[~seller])
+    if policy.stock_limit is not None:
+        before = np.concatenate(([0], stock_after[:-1]))
+        price = np.where(seller & (before >= policy.stock_limit), np.nan, price)
+    log = TradeLog(stream.roles, price, values, traded, stock_after)
+    log.validate(cap)
+    return log
 
 
 @dataclass(frozen=True)
@@ -240,80 +219,95 @@ class MCEstimate:
         return cls(mean, std_err, n, mean - half, mean + half)
 
 
-def _price_schedule(policy, stream, f_s, f_b):
-    """Posted price and its acceptance quantile per position.
+def _price_schedule(policy, stream, f_s, f_b, stock_cap):
+    """Posted price and its acceptance quantile per position, and the effective
+    stock cap: the tighter of the policy's limit and ``stock_cap``, else n + 1.
 
-    Prices never depend on trade outcomes (only on role ordinals), so a dry
-    run with no trades reproduces the live schedule exactly.  Stock-driven
-    declines are reintroduced by the kernel through the policy's cap.
+    Prices depend on seller ordinals only, never on trade outcomes; the
+    policy's stock limit binds in the kernel through the effective cap.
     """
-    pol = policy.fresh()
+    if stock_cap is not None and stock_cap < 1:
+        raise ValueError(f"stock_cap must be positive or None, got {stock_cap}")
+    caps = [c for c in (policy.stock_limit, stock_cap) if c is not None]
+    seller = stream.roles == SELLER
+    price = np.full(len(stream), float(policy.p))
+    price[seller] = policy.seller_prices(stream.n_S)
+    thresh = np.full(len(stream), float(f_b.cdf(policy.p)))
+    thresh[seller] = f_s.cdf(price[seller])
+    return price, thresh, min(caps, default=len(stream) + 1)
+
+
+def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
+    """Resolve every step of ``width`` trials: the one place trades are decided.
+
+    ``draws(start, depth)`` returns the uniforms of steps start..start+depth-1
+    as a (depth, width) array.  Steps run in slabs of ``_STEP_SLAB``, and
+    per-trial results do not depend on the slab size.  Returns the per-trial
+    objective ("profit", "welfare" or "leftover" stock) and, at width 1, the
+    trial's per-step traded flags and stock levels (empty arrays otherwise).
+    """
     n = len(stream)
+    trace = width == 1
     roles = stream.roles.tolist()
-    price = np.empty(n)
-    thresh = np.empty(n)
-    for t in range(n):
-        role = roles[t]
-        action = pol.quote_price(role)
-        if action.declined:
-            raise RuntimeError("policy declined during schedule derivation")
-        price[t] = action.price
-        thresh[t] = float(f_s.cdf(action.price) if role == SELLER else f_b.cdf(action.price))
-        pol.update_on_outcome(role, False)
-    return price, thresh
+    need_values = objective == "welfare"
+    stock = np.zeros(width, dtype=np.int64)
+    spend = np.zeros(width)
+    income = np.zeros(width)
+    wsum = np.zeros(width)
+    traded = np.zeros(n if trace else 0, dtype=bool)
+    stock_after = np.zeros(n if trace else 0, dtype=np.int64)
+    for slab_start in range(0, n, _STEP_SLAB):
+        depth = min(_STEP_SLAB, n - slab_start)
+        slab = draws(slab_start, depth)
+        for k in range(depth):
+            t = slab_start + k
+            u = slab[k]
+            if roles[t] == SELLER:
+                trade = (u < thresh[t]) & (stock < cap)
+                spend += trade * price[t]
+                stock += trade
+                if need_values:
+                    wsum += ~trade * f_s.quantile(u)
+            else:
+                trade = (u >= thresh[t]) & (stock > 0)
+                income += trade * price[t]
+                stock -= trade
+                if need_values:
+                    wsum += trade * f_b.quantile(u)
+            if trace:
+                traded[t] = trade[0]
+                stock_after[t] = stock[0]
+    if objective == "profit":
+        out = income - spend
+    elif objective == "welfare":
+        out = wsum
+    else:
+        out = stock
+    return out, traded, stock_after
 
 
 def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
-    """Per-trial objective values, vectorized across trials.
+    """Per-trial objective values, vectorized across chunks of trials.
 
-    Streams the per-trial substreams in (chunk of trials) x (slab of steps)
-    tiles; per-trial results are independent of the tiling.
+    Trial i draws from ``RandomStream(seed).substream(i)``; per-trial results
+    are independent of the chunk and slab sizes.
     """
-    n = len(stream)
-    out = np.empty(trials)
-    if n == 0:
-        out.fill(0.0)
-        return out
-    price, thresh = _price_schedule(policy, stream, f_s, f_b)
-    cap = _effective_cap(policy, stock_cap)
-    capv = n + 1 if cap is None else cap
-    roles = stream.roles.tolist()
-    need_values = objective == "welfare"
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     root = RandomStream(seed)
-
+    out = np.empty(trials)
     for start in range(0, trials, _TRIAL_CHUNK):
         width = min(_TRIAL_CHUNK, trials - start)
         gens = [root.substream(start + i) for i in range(width)]
-        stock = np.zeros(width, dtype=np.int64)
-        spend = np.zeros(width)
-        income = np.zeros(width)
-        wsum = np.zeros(width)
-        slab = np.empty((min(_STEP_SLAB, n), width))
-        for slab_start in range(0, n, _STEP_SLAB):
-            depth = min(_STEP_SLAB, n - slab_start)
+        slab = np.empty((min(_STEP_SLAB, len(stream)), width))
+
+        def draws(_start, depth):
             for j, gen in enumerate(gens):
                 slab[:depth, j] = gen.random(depth)
-            for k in range(depth):
-                t = slab_start + k
-                u = slab[k]
-                if roles[t] == SELLER:
-                    trade = (u < thresh[t]) & (stock < capv)
-                    spend += trade * price[t]
-                    stock += trade
-                    if need_values:
-                        wsum += ~trade * f_s.quantile(u)
-                else:
-                    trade = (u >= thresh[t]) & (stock > 0)
-                    income += trade * price[t]
-                    stock -= trade
-                    if need_values:
-                        wsum += trade * f_b.quantile(u)
-        if objective == "profit":
-            out[start : start + width] = income - spend
-        elif objective == "welfare":
-            out[start : start + width] = wsum
-        else:
-            out[start : start + width] = stock
+            return slab[:depth]
+
+        out[start : start + width] = _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective)[0]
     return out
 
 
@@ -328,12 +322,8 @@ def monte_carlo(
     objective: str = "profit",
 ) -> MCEstimate:
     """Estimate the expected profit or welfare of a policy on a stream."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    if stock_cap is not None and stock_cap < 1:
-        raise ValueError(f"stock_cap must be positive or None, got {stock_cap}")
     samples = _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective)
     return MCEstimate.from_samples(samples)
 
@@ -351,8 +341,6 @@ def inventory_terminal(
     The stock trajectory sampled here is the inventory random walk whose
     terminal value the analytic concentration bound caps.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
     stream = expand(parse_pattern(f"(S^{alpha} B)^{m}"))
     policy = BalancedPolicy(alpha, f_s, f_b)
     samples = _mc_samples(stream, policy, f_s, f_b, trials, seed, None, "leftover")

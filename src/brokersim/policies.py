@@ -1,10 +1,10 @@
-"""Online posted-price policies.
+"""Online posted-price policies as immutable price schedules.
 
-Every policy maps the next agent's role plus its private state (sellers seen
-so far, current stock) to an action: post a price, or decline the trade
-outright (sellers only; buyers facing an empty stock are handled by the
-engine).  Prices never depend on past trade outcomes, so a policy can be
-replayed deterministically; all randomness lives in the engine.
+Every policy is three things: the price offered to the i-th seller (a
+function of the seller ordinal only), one price p offered to every buyer, and
+an optional ``stock_limit``: while that many items are held, sellers are
+declined.  Prices never depend on trade outcomes, so a policy holds no
+per-trial state; the engine resolves trades and tracks stock.
 
 Kinds and their price rules:
 
@@ -26,20 +26,15 @@ check.  ``median`` carries no such precondition.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Distribution
 from .errors import RegularityError, SpecParseError
 from .fractional import FractionalSolution, require_regular, solve_fractional
-from .streams import BUYER, SELLER
 
 __all__ = [
-    "PolicyAction",
-    "DECLINE",
     "PricePolicy",
     "FixedPricePolicy",
     "MedianPolicy",
@@ -51,79 +46,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolicyAction:
-    """Either Post(price) or Decline (price is None)."""
-
-    price: float | None
-
-    @property
-    def declined(self) -> bool:
-        return self.price is None
-
-
-DECLINE = PolicyAction(None)
-
-
 class PricePolicy:
-    """Base posted-price rule; subclasses provide the price schedule."""
+    """Base posted-price schedule: seller prices by ordinal, one buyer price
+    ``p``, optional ``stock_limit``.
+
+    Attributes are set once, in the constructor; rebinding one raises.
+    Constant-price kinds set ``q``; kinds whose seller price varies override
+    ``seller_prices``.
+    """
 
     #: policy-imposed stock cap; None for kinds that never decline sellers
     stock_limit: int | None = None
+    q: float
+    p: float
 
-    def __init__(self):
-        self._sellers_seen = 0
-        self._stock = 0
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"{type(self).__name__}.{name} is immutable")
+        object.__setattr__(self, name, value)
 
-    @property
-    def sellers_seen(self) -> int:
-        return self._sellers_seen
-
-    @property
-    def stock(self) -> int:
-        return self._stock
-
-    def _seller_price(self, index: int) -> float:
-        raise NotImplementedError
-
-    def _buyer_price(self) -> float:
-        raise NotImplementedError
-
-    def quote_price(self, role: int) -> PolicyAction:
-        """Action for the next agent; sellers may be declined at full stock."""
-        if role == SELLER:
-            if self.stock_limit is not None and self._stock >= self.stock_limit:
-                return DECLINE
-            return PolicyAction(self._seller_price(self._sellers_seen + 1))
-        if role == BUYER:
-            return PolicyAction(self._buyer_price())
-        raise ValueError(f"unknown role {role!r}")
-
-    def update_on_outcome(self, role: int, traded: bool) -> None:
-        """Advance state after the engine resolves a step.
-
-        The seller counter advances on every seller step, traded or not;
-        stock moves by one on trades.  A buyer trade against an empty stock
-        is an engine bug and fails fast.
-        """
-        if role == SELLER:
-            self._sellers_seen += 1
-            if traded:
-                self._stock += 1
-        elif role == BUYER:
-            if traded:
-                if self._stock <= 0:
-                    raise RuntimeError("buyer trade recorded with empty stock")
-                self._stock -= 1
-        else:
-            raise ValueError(f"unknown role {role!r}")
-
-    def fresh(self) -> "PricePolicy":
-        """Copy with zeroed state; one per trial for parallel Monte Carlo."""
-        clone = copy.copy(self)
-        clone._sellers_seen = 0
-        clone._stock = 0
-        return clone
+    def seller_prices(self, n_sellers: int) -> np.ndarray:
+        """Prices offered to sellers 1..n_sellers; entry i-1 is seller i's."""
+        return np.full(n_sellers, float(self.q))
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -138,17 +82,10 @@ class FixedPricePolicy(PricePolicy):
     """Constant prices q for sellers and p for buyers."""
 
     def __init__(self, q: float, p: float):
-        super().__init__()
         _check_price("q", q)
         _check_price("p", p)
         self.q = q
         self.p = p
-
-    def _seller_price(self, index):
-        return self.q
-
-    def _buyer_price(self):
-        return self.p
 
     def spec_string(self):
         return f"fixed:{self.q:g},{self.p:g}"
@@ -158,15 +95,8 @@ class MedianPolicy(PricePolicy):
     """Post each side the median of its own distribution."""
 
     def __init__(self, f_s: Distribution, f_b: Distribution):
-        super().__init__()
         self.q = float(f_s.quantile(0.5))
         self.p = float(f_b.quantile(0.5))
-
-    def _seller_price(self, index):
-        return self.q
-
-    def _buyer_price(self):
-        return self.p
 
     def spec_string(self):
         return "median"
@@ -176,19 +106,12 @@ class FixedQuantilePolicy(PricePolicy):
     """Seller price at the 1/c1 quantile, buyer price at (c2-1)/c2."""
 
     def __init__(self, c1: float, c2: float, f_s: Distribution, f_b: Distribution):
-        super().__init__()
         if not (c1 > 1.0 and c2 > 1.0):
             raise ValueError(f"quantile constants must exceed 1, got c1={c1}, c2={c2}")
         self.c1 = c1
         self.c2 = c2
         self.q = float(f_s.quantile(1.0 / c1))
         self.p = float(f_b.quantile((c2 - 1.0) / c2))
-
-    def _seller_price(self, index):
-        return self.q
-
-    def _buyer_price(self):
-        return self.p
 
     def spec_string(self):
         return f"quantile:{self.c1:g},{self.c2:g}"
@@ -203,7 +126,6 @@ class DecayingSellerPolicy(PricePolicy):
     """
 
     def __init__(self, eps: float, f_s: Distribution, f_b: Distribution):
-        super().__init__()
         if not (0.0 < eps < 0.5):
             raise ValueError(f"decay exponent must lie in (0, 1/2), got {eps}")
         require_regular(f_s, f_b, "decay policy")
@@ -211,11 +133,11 @@ class DecayingSellerPolicy(PricePolicy):
         self._f_s = f_s
         self.p = f_b.mean
 
-    def _seller_price(self, index):
-        return float(self._f_s.quantile(math.exp(-1.0) * index ** -(0.5 + self.eps)))
-
-    def _buyer_price(self):
-        return self.p
+    def seller_prices(self, n_sellers):
+        # Python's int ** float on purpose: numpy.power differs from it in
+        # the last bit at some ordinals.
+        u = [math.exp(-1.0) * i ** -(0.5 + self.eps) for i in range(1, n_sellers + 1)]
+        return self._f_s.quantile(np.array(u, dtype=float))
 
     def spec_string(self):
         return f"decay:{self.eps:g}"
@@ -229,31 +151,22 @@ class StockLimitedPolicy(PricePolicy):
     """
 
     def __init__(self, capacity: int, f_s: Distribution, f_b: Distribution):
-        super().__init__()
         if not (isinstance(capacity, (int, np.integer)) and capacity >= 1):
             raise ValueError(f"stock capacity must be a positive integer, got {capacity!r}")
         require_regular(f_s, f_b, "stock policy")
-        self.capacity = int(capacity)
-        self.stock_limit = self.capacity
+        self.stock_limit = int(capacity)
         r = max(1.0, f_s.mean / f_b.mean)
-        self.q = float(f_s.quantile(1.0 / (2.0 * math.e * self.capacity * r)))
+        self.q = float(f_s.quantile(1.0 / (2.0 * math.e * self.stock_limit * r)))
         self.p = f_b.mean
 
-    def _seller_price(self, index):
-        return self.q
-
-    def _buyer_price(self):
-        return self.p
-
     def spec_string(self):
-        return f"stock:{self.capacity}"
+        return f"stock:{self.stock_limit}"
 
 
 class BalancedPolicy(PricePolicy):
     """Post the optimal fractional price pair for alpha-balanced traffic."""
 
     def __init__(self, alpha: int, f_s: Distribution, f_b: Distribution):
-        super().__init__()
         solution = solve_fractional(f_s, f_b, alpha)
         if solution.per_buyer_value <= 0.0:
             raise ValueError(
@@ -263,12 +176,6 @@ class BalancedPolicy(PricePolicy):
         self.solution: FractionalSolution = solution
         self.q = solution.q
         self.p = solution.p
-
-    def _seller_price(self, index):
-        return self.q
-
-    def _buyer_price(self):
-        return self.p
 
     def spec_string(self):
         return f"balanced:{self.alpha}"

@@ -44,9 +44,6 @@ class _Atom:
     def length(self) -> int:
         return 1
 
-    def iter_roles(self) -> Iterator[int]:
-        yield self.role
-
     def materialize(self) -> np.ndarray:
         return np.array([self.role], dtype=np.uint8)
 
@@ -61,10 +58,6 @@ class _Repeat:
 
     def length(self) -> int:
         return self.child.length() * self.count
-
-    def iter_roles(self) -> Iterator[int]:
-        for _ in range(self.count):
-            yield from self.child.iter_roles()
 
     def materialize(self) -> np.ndarray:
         return np.tile(self.child.materialize(), self.count)
@@ -83,10 +76,6 @@ class _Seq:
     def length(self) -> int:
         return sum(p.length() for p in self.parts)
 
-    def iter_roles(self) -> Iterator[int]:
-        for p in self.parts:
-            yield from p.iter_roles()
-
     def materialize(self) -> np.ndarray:
         if not self.parts:
             return np.zeros(0, dtype=np.uint8)
@@ -98,16 +87,12 @@ class _Seq:
 
 @dataclass(frozen=True)
 class StreamPattern:
-    """Parsed pattern AST; expandable eagerly or role-by-role."""
+    """Parsed pattern AST; ``expand`` materializes it into an ``AgentStream``."""
 
     root: _Seq
 
     def length(self) -> int:
         return self.root.length()
-
-    def iter_roles(self) -> Iterator[int]:
-        """Lazy left-to-right role generation, no materialization."""
-        return self.root.iter_roles()
 
     def render(self) -> str:
         return self.root.render()

@@ -105,6 +105,35 @@ class TestRunTrial:
             assert log.stock_after.min() >= 0
 
 
+def hand_log(roles, traded, stock_after):
+    n = len(roles)
+    return TradeLog(
+        roles=np.array(roles, np.uint8),
+        prices=np.full(n, 0.5),
+        values=np.full(n, 0.5),
+        traded=np.array(traded, bool),
+        stock_after=np.array(stock_after, np.int64),
+    )
+
+
+class TestValidate:
+    def test_consistent_log_passes(self):
+        hand_log([0, 0, 1, 1], [True, True, True, False], [1, 2, 1, 1]).validate(stock_cap=2)
+
+    @pytest.mark.parametrize(
+        "roles,traded,stock_after,cap,message",
+        [
+            ([0, 1], [True, True], [1, 1], None, "moved by 0 on a trade at step 1"),
+            ([0, 0], [False, False], [0, 1], None, "moved by 1 without a trade at step 1"),
+            ([0, 0, 0], [True, True, False], [1, 2, 2], 1, "stock 2 above cap 1 at step 1"),
+        ],
+        ids=["wrong-move-on-trade", "move-without-trade", "above-cap"],
+    )
+    def test_broken_logs_fail_fast(self, roles, traded, stock_after, cap, message):
+        with pytest.raises(ValueError, match=message):
+            hand_log(roles, traded, stock_after).validate(stock_cap=cap)
+
+
 class TestScoring:
     def test_empty_log(self):
         log = TradeLog(
@@ -198,7 +227,7 @@ class TestMonteCarlo:
             scalar = np.array(
                 [score(run_trial(s, policy, f_s, f_b, root.substream(i), stock_cap=cap)) for i in range(trials)]
             )
-            assert np.allclose(vec, scalar, atol=1e-9, rtol=1e-12)
+            assert np.array_equal(vec, scalar)
 
     def test_same_seed_bitwise_identical(self):
         a = monte_carlo(stream("(SB)^20"), MedianPolicy(U, U), U, U, 500, 4242)
@@ -207,10 +236,23 @@ class TestMonteCarlo:
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         args = (stream("(S^2 B)^9"), MedianPolicy(U, U), U, U, 101, 77, None, "profit")
-        baseline = _mc_samples(*args)
+
+        def logs():
+            s, pol = stream("S^5 (S^2 B)^9"), StockLimitedPolicy(1, U, U)
+            gen = np.random.default_rng(3)
+            return [
+                run_trial(s, pol, U, U, RandomStream(77).substream(0), stock_cap=1),
+                run_trial(s, pol, U, U, uniforms=(gen.random(s.n_S) / 8, gen.random(s.n_B))),
+            ]
+
+        baseline, baseline_logs = _mc_samples(*args), logs()
+        assert np.isnan(baseline_logs[1].prices).any()  # the decline path is covered
         monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 7)
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 3)
         assert np.array_equal(_mc_samples(*args), baseline)
+        for log, ref in zip(logs(), baseline_logs):
+            for col in ("prices", "values", "traded", "stock_after"):
+                assert np.array_equal(getattr(log, col), getattr(ref, col), equal_nan=True)
 
 
 class TestInventoryTerminal:

@@ -1,10 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from brokersim import (
-    BUYER,
-    SELLER,
+    AgentStream,
     BalancedPolicy,
     DecayingSellerPolicy,
     Exponential,
@@ -16,7 +16,9 @@ from brokersim import (
     SpecParseError,
     StockLimitedPolicy,
     Uniform,
+    TradeLog,
     build_policy,
+    run_trial,
 )
 
 U = Uniform(0.0, 1.0)
@@ -26,8 +28,8 @@ E = Exponential(1.0)
 class TestPrices:
     def test_median_uniform(self):
         pol = MedianPolicy(U, U)
-        assert pol.quote_price(SELLER).price == 0.5
-        assert pol.quote_price(BUYER).price == 0.5
+        assert pol.seller_prices(3).tolist() == [0.5, 0.5, 0.5]
+        assert pol.p == 0.5
 
     def test_quantile_2_2_equals_median(self):
         med = MedianPolicy(E, U)
@@ -42,14 +44,15 @@ class TestPrices:
 
     def test_decaying_prices(self):
         pol = DecayingSellerPolicy(0.1, U, U)
-        assert pol._seller_price(1) == pytest.approx(0.36787944117144233, abs=1e-12)
-        assert pol._seller_price(4) == pytest.approx(0.16012882736843123, abs=1e-12)
+        prices = pol.seller_prices(4)
+        assert prices[0] == pytest.approx(0.36787944117144233, abs=1e-12)
+        assert prices[3] == pytest.approx(0.16012882736843123, abs=1e-12)
 
     def test_decay_monotone_and_below_seller_mean(self):
         for f_s in (U, E):
             pol = DecayingSellerPolicy(0.2, f_s, U)
-            prices = [pol._seller_price(i) for i in range(1, 201)]
-            assert all(a >= b for a, b in zip(prices, prices[1:]))
+            prices = pol.seller_prices(200)
+            assert np.all(np.diff(prices) <= 0.0)
             assert prices[0] <= f_s.mean + 1e-12
 
     @pytest.mark.parametrize("f_s,f_b", [(U, U), (E, E), (U, E), (E, U)])
@@ -67,62 +70,66 @@ class TestPrices:
     def test_prices_nonnegative(self):
         for spec in ("median", "fixed:0.2,0.7", "quantile:3,4", "decay:0.1", "stock:3", "balanced:2"):
             pol = build_policy(spec, U, U)
-            assert pol.quote_price(SELLER).price >= 0
-            assert pol.quote_price(BUYER).price >= 0
+            assert np.all(pol.seller_prices(10) >= 0)
+            assert pol.p >= 0
+
+
+def trace(text, policy, u_sellers, u_buyers):
+    """run_trial on hand-picked draws, indexed by role rank."""
+    return run_trial(AgentStream.from_text(text), policy, U, U, uniforms=(np.array(u_sellers), np.array(u_buyers)))
 
 
 class TestStateMachine:
+    """Policies hold no per-trial state: the seller ordinal and the stock
+    live in the engine's kernel, driven here through ``run_trial``."""
+
     def test_stock_limited_declines_when_full(self):
-        pol = StockLimitedPolicy(1, U, U)
-        assert not pol.quote_price(SELLER).declined
-        pol.update_on_outcome(SELLER, True)
-        assert pol.quote_price(SELLER).declined
-        pol.update_on_outcome(SELLER, False)
-        pol.update_on_outcome(BUYER, True)
-        assert not pol.quote_price(SELLER).declined
+        # S trades, S is declined at full stock, B sells it, S trades again
+        log = trace("SSBS", StockLimitedPolicy(1, U, U), [0.01, 0.01, 0.01], [0.99])
+        assert np.isnan(log.prices).tolist() == [False, True, False, False]
+        assert log.traded.tolist() == [True, False, True, True]
+        assert log.stock_after.tolist() == [1, 1, 0, 1]
 
     def test_seller_counter_advances_on_declines_and_failures(self):
         pol = DecayingSellerPolicy(0.1, U, U)
-        first = pol.quote_price(SELLER).price
-        pol.update_on_outcome(SELLER, False)
-        second = pol.quote_price(SELLER).price
-        assert second < first
-        assert pol.sellers_seen == 1
+        schedule = pol.seller_prices(4)
+        assert schedule[1] < schedule[0]
+        for u_sellers in ([0.99] * 4, [0.0] * 4, [0.99, 0.0, 0.99, 0.0]):
+            log = trace("SBSSBS", pol, u_sellers, [0.99, 0.99])
+            assert np.array_equal(log.prices[log.roles == 0], schedule)
 
     def test_stock_transitions(self):
-        pol = FixedPricePolicy(0.5, 0.5)
-        pol.update_on_outcome(SELLER, True)
-        assert pol.stock == 1
-        pol.update_on_outcome(BUYER, True)
-        assert pol.stock == 0
-        pol.update_on_outcome(BUYER, False)
-        assert pol.stock == 0
+        log = trace("SBB", FixedPricePolicy(0.5, 0.5), [0.1], [0.9, 0.9])
+        assert log.traded.tolist() == [True, True, False]
+        assert log.stock_after.tolist() == [1, 0, 0]
 
     def test_short_sale_fails_fast(self):
-        pol = FixedPricePolicy(0.5, 0.5)
-        with pytest.raises(RuntimeError):
-            pol.update_on_outcome(BUYER, True)
+        log = TradeLog(
+            roles=np.array([1], np.uint8),
+            prices=np.array([0.5]),
+            values=np.array([0.9]),
+            traded=np.array([True]),
+            stock_after=np.array([-1], np.int64),
+        )
+        with pytest.raises(ValueError, match="short sale"):
+            log.validate()
 
     def test_fresh_resets_state(self):
+        # nothing to reset: a run leaves the policy untouched, and its
+        # attributes cannot be rebound
         pol = DecayingSellerPolicy(0.1, U, U)
-        pol.update_on_outcome(SELLER, True)
-        clone = pol.fresh()
-        assert clone.sellers_seen == 0 and clone.stock == 0
-        assert pol.sellers_seen == 1
+        before = dict(vars(pol))
+        trace("SSBS", pol, [0.0, 0.0, 0.0], [0.99])
+        assert vars(pol) == before
+        with pytest.raises(AttributeError):
+            pol.p = 0.0
 
     def test_replay_determinism(self):
-        script = [SELLER, BUYER, SELLER, SELLER, BUYER]
-        outcomes = [True, True, False, True, False]
-
-        def run(policy):
-            seen = []
-            for role, traded in zip(script, outcomes):
-                seen.append(policy.quote_price(role).price)
-                policy.update_on_outcome(role, traded and not policy.quote_price(role).declined)
-            return seen
-
-        base = StockLimitedPolicy(1, U, U)
-        assert run(base.fresh()) == run(base.fresh())
+        pol = StockLimitedPolicy(1, U, U)
+        draws = ([0.01, 0.5, 0.01], [0.99, 0.2])
+        first, second = trace("SBSSB", pol, *draws), trace("SBSSB", pol, *draws)
+        for col in ("roles", "prices", "values", "traded", "stock_after"):
+            assert np.array_equal(getattr(first, col), getattr(second, col), equal_nan=col == "prices")
 
 
 class TestRegularityGate:

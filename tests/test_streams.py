@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -64,17 +63,6 @@ class TestRenderRoundTrip:
         again = parse_pattern(rendered)
         assert again.render() == rendered
         assert expand(again) == expand(p)
-
-    def test_lazy_iteration_matches_expansion(self):
-        for text in ["(S^3 B)^5", "S B^7 (SB)^2", "S^0"]:
-            p = parse_pattern(text)
-            lazy = list(itertools.islice(p.iter_roles(), 10**6))
-            assert lazy == expand(p).roles.tolist()
-
-    def test_lazy_prefix_agreement_without_materialization(self):
-        p = parse_pattern("(S^7 B^3)^1000000")
-        prefix = list(itertools.islice(p.iter_roles(), 25))
-        assert prefix == expand(parse_pattern("(S^7 B^3)^3")).roles.tolist()[:25]
 
 
 class TestAlphaBalance:
