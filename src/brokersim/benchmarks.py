@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution, check_regularity, harmonic
-from .errors import RegularityError
+from .errors import RegularityError, require_int
 from .fractional import FractionalSolution
 from .matching import max_matchable
 from .streams import AgentStream, SELLER
@@ -104,16 +104,14 @@ def uniform_offline_policy(a: float, b: float) -> tuple[float, float, float]:
 
 def prophet_price(f: Distribution, n: int) -> float:
     """Threshold mu^(n)/2: guarantees welfare >= mu^(n)/2 from n buyers."""
-    if n < 1:
-        raise ValueError(f"prophet price needs n >= 1, got {n}")
-    return f.max_order_stat_mean(n) / 2.0
+    return f.max_order_stat_mean(require_int("n", n, 1)) / 2.0
 
 
 def azuma_bound(m: int, alpha: int) -> float:
     """Cap on the expected terminal inventory of the balanced walk:
     sqrt(2*m*alpha^2*ln m) * (1 - 2/m) + 2*alpha, natural log, m >= 2."""
-    if m < 2:
-        raise ValueError(f"bound needs m >= 2, got {m}")
+    m = require_int("m", m, 2)
+    alpha = require_int("alpha", alpha, 1)
     return math.sqrt(2.0 * m * alpha * alpha * math.log(m)) * (1.0 - 2.0 / m) + 2.0 * alpha
 
 
@@ -153,11 +151,11 @@ def adaptive_dp_oracle(
     n = len(stream)
     if n > 30:
         raise ValueError(f"oracle limited to streams of length <= 30, got {n}")
-    if price_grid > 2048 or price_grid < 2:
+    if require_int("price_grid", price_grid, 2) > 2048:
         raise ValueError(f"price grid must lie in [2, 2048], got {price_grid}")
-    if stock_cap is not None and stock_cap > n:
+    cap = stream.n_S if stock_cap is None else require_int("stock_cap", stock_cap, 1)
+    if cap > n:
         raise ValueError(f"stock_cap {stock_cap} exceeds stream length {n}")
-    cap = stream.n_S if stock_cap is None else stock_cap
     if n == 0 or cap == 0:
         return 0.0
 

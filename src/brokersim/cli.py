@@ -81,7 +81,8 @@ def _default_seed() -> int:
 
 def _apply_config(args: argparse.Namespace, path: str) -> None:
     for key, value in parse_config(path).items():
-        if not hasattr(args, key):
+        # ``command`` and ``config`` live on the namespace but are not options
+        if key in ("command", "config") or not hasattr(args, key):
             raise SpecParseError(f"config key {key!r} does not match any option of this subcommand")
         setattr(args, key, value)
 

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from .errors import SpecParseError
+from .errors import SpecParseError, require_int
 
 __all__ = [
     "Distribution",
@@ -140,7 +140,7 @@ class Uniform(Distribution):
         return DistributionStats(mid, (self.hi - self.lo) / math.sqrt(12.0), mid)
 
     def max_order_stat_mean(self, m):
-        _check_m(m)
+        m = require_int("m", m, 1)
         return self.lo + (self.hi - self.lo) * m / (m + 1.0)
 
     def upper_partial_mean(self, y):
@@ -184,7 +184,7 @@ class Exponential(Distribution):
         return DistributionStats(1.0 / self.rate, 1.0 / self.rate, math.log(2.0) / self.rate)
 
     def max_order_stat_mean(self, m):
-        _check_m(m)
+        m = require_int("m", m, 1)
         return harmonic(m) / self.rate
 
     def upper_partial_mean(self, y):
@@ -244,7 +244,7 @@ class Pareto(Distribution):
 
     def max_order_stat_mean(self, m):
         # E[max] = Gamma(m+1) Gamma(eps) / Gamma(m+eps), grows like m**(1-eps)
-        _check_m(m)
+        m = require_int("m", m, 1)
         return math.exp(gammaln(m + 1.0) + gammaln(self.eps) - gammaln(m + self.eps))
 
     def upper_partial_mean(self, y):
@@ -256,15 +256,9 @@ class Pareto(Distribution):
         return f"pareto-eps:{self.eps:g}"
 
 
-def _check_m(m):
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"order statistic count must be a positive integer, got {m!r}")
-
-
 def harmonic(n: int) -> float:
     """n-th harmonic number; exact summation, 0 for n = 0."""
-    if n < 0:
-        raise ValueError("harmonic number needs n >= 0")
+    n = require_int("n", n, 0)
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
@@ -275,7 +269,7 @@ def order_stat_mean_quadrature(d: Distribution, m: int, rel_tol: float = 1e-8) -
     closed forms in ``max_order_stat_mean`` are the fast path; this is the
     generic route and the cross-check.
     """
-    _check_m(m)
+    m = require_int("m", m, 1)
 
     def integrand(u):
         return float(d.quantile(u)) * m * u ** (m - 1)
@@ -286,8 +280,8 @@ def order_stat_mean_quadrature(d: Distribution, m: int, rel_tol: float = 1e-8) -
 
 def top_k_sum_bound(mean: float, std: float, m: int, k: int) -> float:
     """Upper bound ``k*mean + 2*sqrt(k*m)*std`` on E[sum of the top k of m draws]."""
-    if not (1 <= k <= m):
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    k = require_int("k", k, 1)
+    m = require_int("m", m, k)
     if not math.isfinite(std) or std < 0.0:
         raise ValueError(f"bound requires a finite nonnegative std, got {std}")
     return k * mean + 2.0 * math.sqrt(k * m) * std
@@ -319,8 +313,7 @@ def check_regularity(d: Distribution, grid_points: int = 1024) -> RegularityRepo
     The grid is quantile-spaced (``grid_points`` interior quantiles), so the
     same probability mass sits between consecutive abscissae for every kind.
     """
-    if grid_points < 3:
-        raise ValueError("regularity grid needs at least 3 points")
+    grid_points = require_int("grid_points", grid_points, 3)
     u = (np.arange(grid_points) + 1.0) / (grid_points + 1.0)
     x = d.quantile(u)
     f = d.pdf(x)

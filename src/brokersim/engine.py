@@ -22,8 +22,7 @@ kernel's order, so a traced trial scores exactly as it does inside a run.
 
 Determinism: trial i draws from an independent substream derived from
 (seed, i), and estimates reduce in trial-index order with compensated
-summation, so results are identical across reruns, chunk sizes and worker
-counts.
+summation, so results are identical across reruns and chunk sizes.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
+from .errors import require_int
 from .policies import BalancedPolicy, PricePolicy
 from .streams import AgentStream, BUYER, SELLER, expand, parse_pattern
 
@@ -226,8 +226,7 @@ def _price_schedule(policy, stream, f_s, f_b, stock_cap):
     Prices depend on seller ordinals only, never on trade outcomes; the
     policy's stock limit binds in the kernel through the effective cap.
     """
-    if stock_cap is not None and stock_cap < 1:
-        raise ValueError(f"stock_cap must be positive or None, got {stock_cap}")
+    stock_cap = None if stock_cap is None else require_int("stock_cap", stock_cap, 1)
     caps = [c for c in (policy.stock_limit, stock_cap) if c is not None]
     seller = stream.roles == SELLER
     price = np.full(len(stream), float(policy.p))
@@ -292,8 +291,7 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
     Trial i draws from ``RandomStream(seed).substream(i)``; per-trial results
     are independent of the chunk and slab sizes.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+    trials = require_int("trials", trials, 2)
     price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     root = RandomStream(seed)
     out = np.empty(trials)
@@ -341,6 +339,8 @@ def inventory_terminal(
     The stock trajectory sampled here is the inventory random walk whose
     terminal value the analytic concentration bound caps.
     """
+    alpha = require_int("alpha", alpha, 1)
+    m = require_int("m", m, 0)
     stream = expand(parse_pattern(f"(S^{alpha} B)^{m}"))
     policy = BalancedPolicy(alpha, f_s, f_b)
     samples = _mc_samples(stream, policy, f_s, f_b, trials, seed, None, "leftover")

@@ -30,6 +30,7 @@ import numpy as np
 from . import benchmarks
 from .distributions import Distribution, Pareto, Uniform, parse_distribution
 from .engine import MCEstimate, monte_carlo
+from .errors import require_int
 from .fractional import solve_fractional
 from .policies import (
     BalancedPolicy,
@@ -67,12 +68,9 @@ class ExperimentConfig:
             raise ValueError("n_values must be nonempty")
         if list(self.n_values) != sorted(self.n_values):
             raise ValueError(f"n_values must be sorted ascending, got {self.n_values}")
-        if self.trials < 100:
-            raise ValueError(f"ratio experiments need at least 100 trials, got {self.trials}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.stock_cap < 1:
-            raise ValueError(f"stock_cap must be >= 1, got {self.stock_cap}")
+        require_int("trials", self.trials, 100)
+        require_int("alpha", self.alpha, 1)
+        require_int("stock_cap", self.stock_cap, 1)
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,9 @@ def _require_uniform(d: Distribution, what: str) -> Uniform:
     return d
 
 
-def _even(n: int) -> int:
-    if n < 2 or n % 2:
+def _even(n: int) -> None:
+    if require_int("n", n, 2) % 2:
         raise ValueError(f"scenario needs even n >= 2, got {n}")
-    return n
 
 
 def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, check_regularity
-from .errors import RegularityError
+from .errors import RegularityError, require_int
 
 __all__ = [
     "FractionalSolution",
@@ -111,8 +111,7 @@ def solve_fractional(f_s: Distribution, f_b: Distribution, alpha: int) -> Fracti
     Both distributions must pass their regularity checks.  If no price pair
     yields positive value the no-trade solution (value 0) is returned.
     """
-    if not (isinstance(alpha, (int, np.integer)) and alpha >= 1):
-        raise ValueError(f"alpha must be a positive integer, got {alpha!r}")
+    alpha = require_int("alpha", alpha, 1)
     require_regular(f_s, f_b, "solve_fractional")
 
     u_max = 1.0 / alpha

@@ -14,16 +14,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import require_int
 from .streams import AgentStream, BUYER, SELLER
 
 __all__ = ["TemporalMatching", "fifo_match", "brute_force_max_matching", "max_matchable"]
 
 _BRUTE_FORCE_LIMIT = 20
-
-
-def _check_capacity(capacity):
-    if capacity is not None and not capacity >= 1:
-        raise ValueError(f"capacity must be a positive integer or None, got {capacity!r}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,7 @@ class TemporalMatching:
 
     def validate(self, stream: AgentStream, capacity: int | None = None) -> None:
         """Raise ValueError if any structural invariant is broken."""
-        _check_capacity(capacity)
+        capacity = None if capacity is None else require_int("capacity", capacity, 1)
         seen = set()
         cuts = [0] * (len(stream) + 1)
         for i, j in self.pairs:
@@ -60,7 +56,7 @@ class TemporalMatching:
 def fifo_match(stream: AgentStream, capacity: int | None = None) -> TemporalMatching:
     """Single pass: sellers enter a FIFO queue while it holds fewer than
     ``capacity`` items; each buyer pops the front if the queue is nonempty."""
-    _check_capacity(capacity)
+    capacity = None if capacity is None else require_int("capacity", capacity, 1)
     queue: deque[int] = deque()
     pairs = []
     for t, role in enumerate(stream.roles.tolist()):
@@ -83,9 +79,8 @@ def brute_force_max_matching(stream: AgentStream, capacity: int | None = None) -
     n = len(stream)
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force oracle is limited to length <= {_BRUTE_FORCE_LIMIT}, got {n}")
-    _check_capacity(capacity)
+    cap = n if capacity is None else require_int("capacity", capacity, 1)
     roles = stream.roles.tolist()
-    cap = n if capacity is None else capacity
     memo: dict[tuple[int, int], int] = {}
 
     def go(t: int, reserved: int) -> int:

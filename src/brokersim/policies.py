@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .distributions import Distribution
-from .errors import RegularityError, SpecParseError
+from .errors import RegularityError, SpecParseError, require_int
 from .fractional import FractionalSolution, require_regular, solve_fractional
 
 __all__ = [
@@ -151,10 +151,8 @@ class StockLimitedPolicy(PricePolicy):
     """
 
     def __init__(self, capacity: int, f_s: Distribution, f_b: Distribution):
-        if not (isinstance(capacity, (int, np.integer)) and capacity >= 1):
-            raise ValueError(f"stock capacity must be a positive integer, got {capacity!r}")
+        self.stock_limit = require_int("stock capacity", capacity, 1)
         require_regular(f_s, f_b, "stock policy")
-        self.stock_limit = int(capacity)
         r = max(1.0, f_s.mean / f_b.mean)
         self.q = float(f_s.quantile(1.0 / (2.0 * math.e * self.stock_limit * r)))
         self.p = f_b.mean

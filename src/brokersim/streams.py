@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import SpecParseError
+from .errors import SpecParseError, require_int
 
 __all__ = [
     "SELLER",
@@ -91,6 +91,11 @@ class StreamPattern:
 
     root: _Seq
 
+    def __post_init__(self):
+        total = self.length()
+        if total > MAX_EXPANSION:
+            raise SpecParseError(f"pattern expands to {total} roles, above the {MAX_EXPANSION} cap")
+
     def length(self) -> int:
         return self.root.length()
 
@@ -152,11 +157,7 @@ def parse_pattern(text: str) -> StreamPattern:
     parts, i = _parse_seq(text, 0, depth=0)
     if i != len(text):
         raise SpecParseError(f"trailing input at position {i} in {text!r}")
-    pattern = StreamPattern(_Seq(tuple(parts)))
-    total = pattern.length()
-    if total > MAX_EXPANSION:
-        raise SpecParseError(f"pattern expands to {total} roles, above the {MAX_EXPANSION} cap")
-    return pattern
+    return StreamPattern(_Seq(tuple(parts)))
 
 
 class AgentStream:
@@ -221,16 +222,12 @@ class AgentStream:
 
 
 def expand(pattern: StreamPattern) -> AgentStream:
-    total = pattern.length()
-    if total > MAX_EXPANSION:
-        raise SpecParseError(f"pattern expands to {total} roles, above the {MAX_EXPANSION} cap")
     return AgentStream(pattern.root.materialize())
 
 
 def is_alpha_balanced(stream: AgentStream, alpha: int) -> bool:
     """True iff n_S = alpha * n_B and the i-th buyer has >= alpha*i sellers before it."""
-    if not (isinstance(alpha, (int, np.integer)) and alpha >= 1):
-        raise ValueError(f"alpha must be a positive integer, got {alpha!r}")
+    alpha = require_int("alpha", alpha, 1)
     if stream.n_S != alpha * stream.n_B:
         return False
     if stream.n_B == 0:
@@ -249,20 +246,28 @@ def prefix_dominates(s1: AgentStream, s2: AgentStream) -> bool:
 
 
 def random_alpha_balanced(alpha: int, m: int, rng: np.random.Generator) -> AgentStream:
-    """Uniform random alpha-balanced stream with m buyers, by rejection sampling."""
-    if m == 0:
-        return AgentStream(np.zeros(0, dtype=np.uint8))
-    roles = np.array([SELLER] * (alpha * m) + [BUYER] * m, dtype=np.uint8)
-    while True:
-        rng.shuffle(roles)
-        candidate = AgentStream(roles.copy())
-        if is_alpha_balanced(candidate, alpha):
-            return candidate
+    """Uniform random alpha-balanced stream with m buyers, in O(n).
+
+    Cycle lemma (Dvoretzky-Motzkin): of the rotations of a shuffle of
+    alpha*m + 1 sellers and m buyers, exactly one keeps the walk (+1 per
+    seller, -alpha per buyer) positive, the one starting just after the
+    walk's last minimum.  Without its lead seller it is alpha-balanced, and
+    every balanced stream comes from equally many shuffles.
+    """
+    alpha = require_int("alpha", alpha, 1)
+    m = require_int("m", m, 0)
+    roles = np.repeat(np.array([SELLER, BUYER], dtype=np.uint8), (alpha * m + 1, m))
+    rng.shuffle(roles)
+    walk = np.concatenate(([0], np.cumsum(np.where(roles == SELLER, 1, -alpha))[:-1]))
+    start = walk.size - 1 - int(np.argmin(walk[::-1]))
+    return AgentStream(np.roll(roles, -start)[1:])
 
 
 def enumerate_alpha_balanced(alpha: int, m: int) -> Iterator[AgentStream]:
     """All alpha-balanced streams with m buyers, lexicographic order; oracle-scale."""
-    n_s, n_b = alpha * m, m
+    alpha = require_int("alpha", alpha, 1)
+    n_b = require_int("m", m, 0)
+    n_s = alpha * n_b
     buf = np.zeros(n_s + n_b, dtype=np.uint8)
 
     def rec(i, s_used, b_used):
@@ -276,4 +281,4 @@ def enumerate_alpha_balanced(alpha: int, m: int) -> Iterator[AgentStream]:
             buf[i] = BUYER
             yield from rec(i + 1, s_used, b_used + 1)
 
-    yield from rec(0, 0, 0)
+    return rec(0, 0, 0)

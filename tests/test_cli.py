@@ -120,6 +120,14 @@ class TestConfigAndEnv:
         assert code == 2
         assert "quantum" in err
 
+    @pytest.mark.parametrize("key", ["command", "config"])
+    def test_config_cannot_rebind_subcommand_or_config(self, capsys, tmp_path, key):
+        conf = tmp_path / "rebind.conf"
+        conf.write_text(f"{key} = verify\n")
+        code, _, err = run(TestSimulate.ARGS + ["--config", str(conf)], capsys)
+        assert code == 2
+        assert repr(key) in err
+
     def test_parse_config_types(self, tmp_path):
         conf = tmp_path / "typed.conf"
         conf.write_text("# comment only\nn_values = 4, 8,16\ndecay_eps = 0.25\nout = results.csv\n")

@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from brokersim import (
     AgentStream,
@@ -125,6 +126,18 @@ class TestGenerators:
 
     def test_random_balanced_empty(self, rng):
         assert len(random_alpha_balanced(2, 0, rng)) == 0
+
+    @pytest.mark.parametrize("alpha,m,draws", [(1, 5, 8400), (2, 3, 6000)])
+    def test_random_balanced_is_uniform(self, alpha, m, draws):
+        # 42 and 12 streams, 200 and 500 expected hits each; the p-value
+        # floor of 1e-3 was fixed before the first run
+        support = [s.text for s in enumerate_alpha_balanced(alpha, m)]
+        counts = dict.fromkeys(support, 0)
+        rng = np.random.default_rng(9001)
+        for _ in range(draws):
+            counts[random_alpha_balanced(alpha, m, rng).text] += 1
+        assert len(counts) == len(support)
+        assert chisquare(list(counts.values())).pvalue > 1e-3
 
     def test_enumeration_counts_match_catalan_numbers(self):
         # alpha=1 -> Catalan; alpha=2 -> Fuss-Catalan C(3m, m)/(2m+1)
