@@ -127,6 +127,8 @@ def balanced_profit_decomposition(
     cost of unsold items.  Under the balance constraint the first factor
     times (p - q) equals m * per_buyer_value.
     """
+    m = require_int("m", m, 0)
+    require_int("alpha", alpha, 1)
     if expected_leftover < 0.0:
         raise ValueError(f"expected leftover must be nonnegative, got {expected_leftover}")
     gross = m * sol.per_buyer_value

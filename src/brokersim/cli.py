@@ -19,13 +19,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .distributions import parse_distribution
 from .engine import RandomStream, monte_carlo, run_trial
 from .errors import SpecParseError
-from .experiments import SCENARIOS, ExperimentConfig, emit_csv, run_experiment
+from .experiments import DEFAULT_SWEEPS, SCENARIOS, ExperimentConfig, emit_csv, run_experiment
 from .fractional import certify_bounds, solve_fractional
 from .policies import build_policy
 from .streams import AgentStream, SELLER
@@ -35,8 +36,14 @@ __all__ = ["main", "parse_config"]
 
 _ENV_SEED = "BROKERSIM_SEED"
 
+
+def int_list(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers, e.g. ``100,1000``."""
+    return tuple(int(x) for x in text.split(","))
+
+
 _CONFIG_TYPES = {
-    "n_values": lambda v: tuple(int(x.strip()) for x in v.split(",")),
+    "n_values": int_list,
     "trials": int,
     "seed": int,
     "alpha": int,
@@ -114,14 +121,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="competitive-ratio sweep, CSV output")
     exp.add_argument("scenario", choices=SCENARIOS)
-    exp.add_argument("--n-values", dest="n_values", default=None, help="comma-separated sweep values")
-    exp.add_argument("--trials", type=int, default=10000)
-    exp.add_argument("--seller-dist", dest="seller_dist", default="uniform:0,1")
-    exp.add_argument("--buyer-dist", dest="buyer_dist", default="uniform:0,1")
-    exp.add_argument("--alpha", type=int, default=1)
-    exp.add_argument("--stock-cap", dest="stock_cap", type=int, default=2)
-    exp.add_argument("--decay-eps", dest="decay_eps", type=float, default=0.05)
-    exp.add_argument("--pareto-eps", dest="pareto_eps", type=float, default=0.5)
+    # unset options take ExperimentConfig's defaults, and n_values the scenario's DEFAULT_SWEEPS
+    exp.add_argument("--n-values", type=int_list, help="comma-separated sweep values")
+    exp.add_argument("--trials", type=int)
+    exp.add_argument("--seller-dist")
+    exp.add_argument("--buyer-dist")
+    exp.add_argument("--alpha", type=int)
+    exp.add_argument("--stock-cap", type=int)
+    exp.add_argument("--decay-eps", type=float)
+    exp.add_argument("--pareto-eps", type=float)
     exp.add_argument("--out", default="experiment.csv")
     add_common(exp)
 
@@ -131,15 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(ver)
 
     return parser
-
-
-_DEFAULT_SWEEPS = {
-    "welfare-log-n": tuple(2**k for k in range(4, 15)),
-    "profit-sqrt-n": tuple(2**k for k in range(8, 17)),
-    "stock-limited": tuple(2**k for k in range(6, 13)),
-    "balanced": (100, 1000, 10000),
-    "pareto-blowup": tuple(2**k for k in range(4, 15)),
-}
 
 
 def _fmt(value: float) -> str:
@@ -195,23 +194,10 @@ def _cmd_solve_fractional(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    n_values = args.n_values
-    if n_values is None:
-        n_values = _DEFAULT_SWEEPS[args.scenario]
-    elif isinstance(n_values, str):
-        n_values = tuple(int(x.strip()) for x in n_values.split(","))
-    cfg = ExperimentConfig(
-        scenario=args.scenario,
-        n_values=tuple(n_values),
-        trials=args.trials,
-        seed=args.seed,
-        seller_dist=args.seller_dist,
-        buyer_dist=args.buyer_dist,
-        alpha=args.alpha,
-        stock_cap=args.stock_cap,
-        decay_eps=args.decay_eps,
-        pareto_eps=args.pareto_eps,
-    )
+    names = (f.name for f in dataclasses.fields(ExperimentConfig))
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    given.setdefault("n_values", DEFAULT_SWEEPS[args.scenario])
+    cfg = ExperimentConfig(**given)
     rows = run_experiment(cfg)
     emit_csv(rows, args.out)
     for row in rows:

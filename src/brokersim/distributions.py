@@ -3,8 +3,8 @@
 Three families are supported, each with closed-form cdf, pdf, quantile,
 moments and maximum-order-statistic mean:
 
-* ``Uniform(lo, hi)`` on ``[lo, hi]`` with ``0 <= lo < hi``.
-* ``Exponential(rate)`` on ``[0, inf)``.
+* ``Uniform(lo, hi)`` on ``[lo, hi]`` with ``0 <= lo < hi < inf``.
+* ``Exponential(rate)`` on ``[0, inf)`` with ``0 < rate < inf``.
 * ``Pareto(eps)`` on ``[1, inf)`` with cdf ``1 - x**(-1/(1-eps))`` for
   ``eps`` in ``(0, 1)``.  Its mean is ``1/eps``; the variance is infinite
   for ``eps <= 1/2`` and ``stats().std`` reports ``inf`` there.
@@ -31,10 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
-from .errors import SpecParseError, require_int
+from .errors import parse_spec, require_int
 
 __all__ = [
     "Distribution",
@@ -113,8 +111,8 @@ class Uniform(Distribution):
     hi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi):
-            raise ValueError(f"uniform requires 0 <= lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not (0.0 <= self.lo < self.hi < math.inf):
+            raise ValueError(f"uniform requires 0 <= lo < hi < inf, got lo={self.lo}, hi={self.hi}")
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -159,8 +157,8 @@ class Exponential(Distribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError(f"exponential rate must be positive, got {self.rate}")
+        if not (0.0 < self.rate < math.inf):
+            raise ValueError(f"exponential rate must be positive and finite, got {self.rate}")
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -244,6 +242,8 @@ class Pareto(Distribution):
 
     def max_order_stat_mean(self, m):
         # E[max] = Gamma(m+1) Gamma(eps) / Gamma(m+eps), grows like m**(1-eps)
+        from scipy.special import gammaln  # scipy loads on first use, not on import
+
         m = require_int("m", m, 1)
         return math.exp(gammaln(m + 1.0) + gammaln(self.eps) - gammaln(m + self.eps))
 
@@ -269,6 +269,8 @@ def order_stat_mean_quadrature(d: Distribution, m: int, rel_tol: float = 1e-8) -
     closed forms in ``max_order_stat_mean`` are the fast path; this is the
     generic route and the cross-check.
     """
+    from scipy import integrate  # scipy loads on first use, not on import
+
     m = require_int("m", m, 1)
 
     def integrand(u):
@@ -338,36 +340,13 @@ def check_regularity(d: Distribution, grid_points: int = 1024) -> RegularityRepo
     return RegularityReport(mhr=surv_concave, log_concave_cdf=cdf_concave, failures=tuple(failures))
 
 
+_KINDS = {
+    "uniform": ((float, float), Uniform),
+    "exp": ((float,), Exponential),
+    "pareto-eps": ((float,), Pareto),
+}
+
+
 def parse_distribution(text: str) -> Distribution:
     """Parse a distribution spec: ``uniform:<lo>,<hi>`` | ``exp:<rate>`` | ``pareto-eps:<eps>``."""
-    body = text.strip()
-    kind, sep, rest = body.partition(":")
-    kind = kind.strip().lower()
-    if not sep:
-        raise SpecParseError(f"distribution spec {text!r} is missing ':<params>'")
-    params = [p.strip() for p in rest.split(",")]
-
-    def number(tok: str) -> float:
-        try:
-            return float(tok)
-        except ValueError:
-            raise SpecParseError(f"bad number {tok!r} in distribution spec {text!r}") from None
-
-    try:
-        if kind == "uniform":
-            if len(params) != 2:
-                raise SpecParseError(f"uniform spec needs '<lo>,<hi>', got {rest!r}")
-            return Uniform(number(params[0]), number(params[1]))
-        if kind == "exp":
-            if len(params) != 1:
-                raise SpecParseError(f"exp spec needs '<rate>', got {rest!r}")
-            return Exponential(number(params[0]))
-        if kind == "pareto-eps":
-            if len(params) != 1:
-                raise SpecParseError(f"pareto-eps spec needs '<eps>', got {rest!r}")
-            return Pareto(number(params[0]))
-    except ValueError as exc:
-        if isinstance(exc, SpecParseError):
-            raise
-        raise SpecParseError(f"invalid distribution spec {text!r}: {exc}") from None
-    raise SpecParseError(f"unknown distribution kind {kind!r} in {text!r}")
+    return parse_spec(text, "distribution", _KINDS)

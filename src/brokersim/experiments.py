@@ -41,9 +41,17 @@ from .policies import (
 )
 from .streams import AgentStream, parse_pattern, expand
 
-__all__ = ["SCENARIOS", "ExperimentConfig", "RatioRow", "run_experiment", "emit_csv", "loglog_slope"]
+__all__ = ["SCENARIOS", "DEFAULT_SWEEPS", "ExperimentConfig", "RatioRow", "run_experiment", "emit_csv", "loglog_slope"]
 
-SCENARIOS = ("welfare-log-n", "profit-sqrt-n", "stock-limited", "balanced", "pareto-blowup")
+#: Each scenario and the sweep the CLI runs when no n_values are given.
+DEFAULT_SWEEPS = {
+    "welfare-log-n": tuple(2**k for k in range(4, 15)),
+    "profit-sqrt-n": tuple(2**k for k in range(8, 17)),
+    "stock-limited": tuple(2**k for k in range(6, 13)),
+    "balanced": (100, 1000, 10000),
+    "pareto-blowup": tuple(2**k for k in range(4, 15)),
+}
+SCENARIOS = tuple(DEFAULT_SWEEPS)
 
 _CSV_HEADER = "n,online_mean,online_ci95_low,online_ci95_high,offline_bound,ratio,slack_adjusted_ratio"
 
@@ -66,6 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
+        for n in self.n_values:
+            require_int("n_values entry", n, 1)
         if list(self.n_values) != sorted(self.n_values):
             raise ValueError(f"n_values must be sorted ascending, got {self.n_values}")
         require_int("trials", self.trials, 100)

@@ -193,6 +193,8 @@ def certify_bounds(
     are reported; a failure flags an infeasibility or regularity breach
     upstream.
     """
+    require_int("alpha", alpha, 1)
+    m = require_int("m", m, 1)
     mu_s = f_s.mean
     mu_b = f_b.mean
     r = max(2.0, mu_s / mu_b)

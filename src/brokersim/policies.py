@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .distributions import Distribution
-from .errors import RegularityError, SpecParseError, require_int
+from .errors import parse_spec, require_int
 from .fractional import FractionalSolution, require_regular, solve_fractional
 
 __all__ = [
@@ -179,18 +179,14 @@ class BalancedPolicy(PricePolicy):
         return f"balanced:{self.alpha}"
 
 
-def _number(tok: str, text: str) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise SpecParseError(f"bad number {tok!r} in policy spec {text!r}") from None
-
-
-def _integer(tok: str, text: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise SpecParseError(f"bad integer {tok!r} in policy spec {text!r}") from None
+_KINDS = {
+    "median": ((), MedianPolicy),
+    "fixed": ((float, float), lambda q, p, f_s, f_b: FixedPricePolicy(q, p)),
+    "quantile": ((float, float), FixedQuantilePolicy),
+    "decay": ((float,), DecayingSellerPolicy),
+    "stock": ((int,), StockLimitedPolicy),
+    "balanced": ((int,), BalancedPolicy),
+}
 
 
 def build_policy(spec: str, f_s: Distribution, f_b: Distribution) -> PricePolicy:
@@ -199,36 +195,4 @@ def build_policy(spec: str, f_s: Distribution, f_b: Distribution) -> PricePolicy
     Grammar: ``median`` | ``fixed:<q>,<p>`` | ``quantile:<c1>,<c2>`` |
     ``decay:<eps>`` | ``stock:<K>`` | ``balanced:<alpha>``.
     """
-    body = spec.strip()
-    kind, _, rest = body.partition(":")
-    kind = kind.strip().lower()
-    params = [p.strip() for p in rest.split(",")] if rest else []
-
-    def arity(k):
-        if len(params) != k:
-            raise SpecParseError(f"policy {kind!r} takes {k} parameter(s), got {rest!r}")
-
-    try:
-        if kind == "median":
-            arity(0)
-            return MedianPolicy(f_s, f_b)
-        if kind == "fixed":
-            arity(2)
-            return FixedPricePolicy(_number(params[0], spec), _number(params[1], spec))
-        if kind == "quantile":
-            arity(2)
-            return FixedQuantilePolicy(_number(params[0], spec), _number(params[1], spec), f_s, f_b)
-        if kind == "decay":
-            arity(1)
-            return DecayingSellerPolicy(_number(params[0], spec), f_s, f_b)
-        if kind == "stock":
-            arity(1)
-            return StockLimitedPolicy(_integer(params[0], spec), f_s, f_b)
-        if kind == "balanced":
-            arity(1)
-            return BalancedPolicy(_integer(params[0], spec), f_s, f_b)
-    except ValueError as exc:
-        if isinstance(exc, (SpecParseError, RegularityError)):
-            raise
-        raise SpecParseError(f"invalid policy spec {spec!r}: {exc}") from None
-    raise SpecParseError(f"unknown policy kind {kind!r} in {spec!r}")
+    return parse_spec(spec, "policy", _KINDS, f_s, f_b)

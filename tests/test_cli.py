@@ -1,5 +1,6 @@
 import pytest
 
+from brokersim import ExperimentConfig, emit_csv, run_experiment
 from brokersim.cli import main, parse_config
 
 
@@ -80,6 +81,27 @@ class TestExperiment:
         lines = out_path.read_text().splitlines()
         assert len(lines) == 3
         assert "csv written" in out
+
+    def test_unset_options_take_config_defaults(self, capsys, tmp_path):
+        out_path, expected = tmp_path / "rows.csv", tmp_path / "expected.csv"
+        argv = ["experiment", "stock-limited", "--n-values", "8", "--trials", "200", "--seed", "3"]
+        code, _, _ = run(argv + ["--out", str(out_path)], capsys)
+        assert code == 0
+        cfg = ExperimentConfig(scenario="stock-limited", n_values=(8,), trials=200, seed=3)
+        emit_csv(run_experiment(cfg), expected)
+        assert out_path.read_text() == expected.read_text()
+
+    def test_n_values_from_config(self, capsys, tmp_path):
+        conf, out_path = tmp_path / "sweep.conf", tmp_path / "rows.csv"
+        conf.write_text("n_values = 20, 40\ntrials = 200\n")
+        code, _, _ = run(["experiment", "balanced", "--config", str(conf), "--out", str(out_path)], capsys)
+        assert code == 0
+        assert [line.split(",")[0] for line in out_path.read_text().splitlines()[1:]] == ["20", "40"]
+
+    def test_bad_n_values_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "balanced", "--n-values", "20,x"])
+        assert exc.value.code == 2
 
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import brokersim
 from brokersim import (
     Exponential,
     Pareto,
@@ -256,6 +260,10 @@ class TestParse:
             ("uniform:3,1", "uniform:3,1"),
             ("exp:-2", "exp:-2"),
             ("pareto-eps:1.5", "pareto-eps:1.5"),
+            ("uniform:0,1,2", "uniform:0,1,2"),
+            ("uniform:0,inf", "uniform:0,inf"),
+            ("uniform:0,1e309", "uniform:0,1e309"),
+            ("exp:inf", "exp:inf"),
         ],
     )
     def test_errors_name_offending_token(self, bad, needle):
@@ -269,7 +277,11 @@ class TestParse:
         with pytest.raises(ValueError):
             Uniform(2, 2)
         with pytest.raises(ValueError):
+            Uniform(0, math.inf)
+        with pytest.raises(ValueError):
             Exponential(0.0)
+        with pytest.raises(ValueError):
+            Exponential(math.inf)
         with pytest.raises(ValueError):
             Pareto(1.0)
 
@@ -278,3 +290,14 @@ def test_harmonic_values():
     assert harmonic(0) == 0.0
     assert harmonic(1) == 1.0
     assert harmonic(4) == pytest.approx(25 / 12, abs=1e-15)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy's quadrature and special functions load on first use, not on import
+    src = os.path.dirname(os.path.dirname(brokersim.__file__))
+    code = "import sys, brokersim; print(sorted(m for m in sys.modules if m.startswith(('scipy.special', 'scipy.integrate'))))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

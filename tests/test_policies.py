@@ -160,7 +160,7 @@ class TestBuildPolicy:
 
     @pytest.mark.parametrize(
         "bad",
-        ["stock:0", "decay:0.6", "decay:0", "balanced:0", "fixed:1", "quantile:1,2", "haggle:1", "fixed:a,b", "stock:1.5"],
+        ["stock:0", "decay:0.6", "decay:0", "balanced:0", "fixed:1", "quantile:1,2", "haggle:1", "fixed:a,b", "stock:1.5", "median:1"],
     )
     def test_bad_specs(self, bad):
         with pytest.raises(SpecParseError):
