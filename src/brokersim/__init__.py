@@ -66,7 +66,6 @@ from .engine import (
     welfare_series,
 )
 from .benchmarks import (
-    BoundReport,
     adaptive_dp_oracle,
     azuma_bound,
     balanced_profit_decomposition,

@@ -24,7 +24,6 @@ reference point that every implementable mechanism must sit below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .matching import max_matchable
 from .streams import AgentStream, SELLER
 
 __all__ = [
-    "BoundReport",
     "welfare_upper_bound",
     "profit_upper_bound_general",
     "profit_upper_bound_stocked",
@@ -45,15 +43,6 @@ __all__ = [
     "balanced_profit_decomposition",
     "adaptive_dp_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A named bound value with the inputs that produced it."""
-
-    name: str
-    value: float
-    inputs: dict = field(default_factory=dict)
 
 
 def welfare_upper_bound(stream: AgentStream, f_s: Distribution, f_b: Distribution) -> float:
@@ -115,9 +104,7 @@ def azuma_bound(m: int, alpha: int) -> float:
     return math.sqrt(2.0 * m * alpha * alpha * math.log(m)) * (1.0 - 2.0 / m) + 2.0 * alpha
 
 
-def balanced_profit_decomposition(
-    m: int, alpha: int, sol: FractionalSolution, expected_leftover: float
-) -> float:
+def balanced_profit_decomposition(m: int, sol: FractionalSolution, expected_leftover: float) -> float:
     """Expected profit of the balanced policy on (S^alpha B)^m given the
     expected leftover stock E[Z_m]:
 
@@ -128,7 +115,6 @@ def balanced_profit_decomposition(
     times (p - q) equals m * per_buyer_value.
     """
     m = require_int("m", m, 0)
-    require_int("alpha", alpha, 1)
     if expected_leftover < 0.0:
         raise ValueError(f"expected leftover must be nonnegative, got {expected_leftover}")
     gross = m * sol.per_buyer_value

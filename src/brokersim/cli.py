@@ -11,8 +11,10 @@ Subcommands::
     brokersim verify mhr
 
 The default seed comes from the ``BROKERSIM_SEED`` environment variable
-(falling back to 42).  ``--config FILE`` reads ``key = value`` lines
-(``#`` comments allowed) whose entries override the corresponding flags.
+(falling back to 42) and is parsed like ``--seed``.  ``--config FILE`` reads
+``key = value`` lines (``#`` comments allowed); each entry is parsed as the
+flag ``--key=value`` placed after the command line, so it overrides that flag
+and goes through the flag's own type and choices.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -42,19 +44,11 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-_CONFIG_TYPES = {
-    "n_values": int_list,
-    "trials": int,
-    "seed": int,
-    "alpha": int,
-    "stock_cap": int,
-    "decay_eps": float,
-    "pareto_eps": float,
-}
+def parse_config(path: str) -> dict[str, str]:
+    """Read a flat ``key = value`` config file; '#' starts a comment.
 
-
-def parse_config(path: str) -> dict:
-    """Read a flat ``key = value`` config file; '#' starts a comment."""
+    Values stay strings: ``main`` parses each entry as its ``--key`` flag.
+    """
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -68,39 +62,37 @@ def parse_config(path: str) -> dict:
             value = value.strip()
             if not key or not value:
                 raise SpecParseError(f"{path}:{lineno}: empty key or value")
-            caster = _CONFIG_TYPES.get(key, str)
-            try:
-                values[key] = caster(value)
-            except ValueError:
-                raise SpecParseError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
+            values[key] = value
     return values
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(_ENV_SEED)
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecParseError(f"environment variable {_ENV_SEED} must be an integer, got {raw!r}") from None
+# namespace entries that are not --options: the subcommand, its handler,
+# --config itself and the positionals
+_NOT_OPTIONS = frozenset({"command", "run", "config", "scenario", "suite"})
 
 
-def _apply_config(args: argparse.Namespace, path: str) -> None:
-    for key, value in parse_config(path).items():
-        # ``command`` and ``config`` live on the namespace but are not options
-        if key in ("command", "config") or not hasattr(args, key):
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The entries of ``args.config`` as ``--key=value`` flags."""
+    flags = []
+    for key, value in parse_config(args.config).items():
+        # an exact dest only: argparse would take ``trial`` as ``--trials``
+        if key in _NOT_OPTIONS or not hasattr(args, key):
             raise SpecParseError(f"config key {key!r} does not match any option of this subcommand")
-        setattr(args, key, value)
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="brokersim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help=f"defaults to ${_ENV_SEED} or 42")
+    def add_common(p, run):
+        # a string default goes through type=int, so a bad $BROKERSIM_SEED is a usage error
+        p.add_argument(
+            "--seed", type=int, default=os.environ.get(_ENV_SEED, "42"), help=f"defaults to ${_ENV_SEED} or 42"
+        )
         p.add_argument("--config", default=None, help="key=value file overriding flags")
+        p.set_defaults(run=run)
 
     sim = sub.add_parser("simulate", help="Monte Carlo estimate of one policy on one stream")
     sim.add_argument("--stream", required=True, help="pattern, e.g. '(S^2 B)^50'")
@@ -111,13 +103,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--stock-cap", dest="stock_cap", type=int, default=None)
     sim.add_argument("--objective", choices=("profit", "welfare"), default="profit")
     sim.add_argument("--trace", default=None, help="write a per-step CSV trace of trial 0")
-    add_common(sim)
+    add_common(sim, _cmd_simulate)
 
     frac = sub.add_parser("solve-fractional", help="optimal two-price program for balanced traffic")
     frac.add_argument("--alpha", type=int, required=True)
     frac.add_argument("--seller-dist", dest="seller_dist", required=True)
     frac.add_argument("--buyer-dist", dest="buyer_dist", required=True)
-    add_common(frac)
+    add_common(frac, _cmd_solve_fractional)
 
     exp = sub.add_parser("experiment", help="competitive-ratio sweep, CSV output")
     exp.add_argument("scenario", choices=SCENARIOS)
@@ -131,12 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--decay-eps", type=float)
     exp.add_argument("--pareto-eps", type=float)
     exp.add_argument("--out", default="experiment.csv")
-    add_common(exp)
+    add_common(exp, _cmd_experiment)
 
     ver = sub.add_parser("verify", help="run an invariant suite; nonzero exit on failure")
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--trials", type=int, default=20000)
-    add_common(ver)
+    add_common(ver, _cmd_verify)
 
     return parser
 
@@ -180,7 +172,7 @@ def _cmd_solve_fractional(args) -> int:
     f_s = parse_distribution(args.seller_dist)
     f_b = parse_distribution(args.buyer_dist)
     sol = solve_fractional(f_s, f_b, args.alpha)
-    report = certify_bounds(sol, f_s, f_b, args.alpha, m=1)
+    report = certify_bounds(sol, f_s, f_b, m=1)
     certs = " ".join(
         f"{c.name}={'PASS' if c.passed else 'FAIL'}(slack={_fmt(c.slack)})" for c in report.checks
     )
@@ -221,21 +213,13 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            _apply_config(args, args.config)
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "solve-fractional":
-            return _cmd_solve_fractional(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        if args.config:
+            # config entries parse as flags after the command line, so they override it
+            args = parser.parse_args(argv + _config_flags(args))
+        return args.run(args)
     except (SpecParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

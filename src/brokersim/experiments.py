@@ -31,7 +31,6 @@ from . import benchmarks
 from .distributions import Distribution, Pareto, Uniform, parse_distribution
 from .engine import MCEstimate, monte_carlo
 from .errors import require_int
-from .fractional import solve_fractional
 from .policies import (
     BalancedPolicy,
     DecayingSellerPolicy,
@@ -76,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("n_values must be nonempty")
         for n in self.n_values:
             require_int("n_values entry", n, 1)
+            if n % 2 and self.scenario in ("profit-sqrt-n", "stock-limited"):
+                raise ValueError(f"scenario {self.scenario} needs even n, got {n}")
         if list(self.n_values) != sorted(self.n_values):
             raise ValueError(f"n_values must be sorted ascending, got {self.n_values}")
         require_int("trials", self.trials, 100)
@@ -106,11 +107,6 @@ def _require_uniform(d: Distribution, what: str) -> Uniform:
     return d
 
 
-def _even(n: int) -> None:
-    if require_int("n", n, 2) % 2:
-        raise ValueError(f"scenario needs even n >= 2, got {n}")
-
-
 def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
     """One sweep point: (online estimate, offline benchmark value)."""
     if cfg.scenario in ("welfare-log-n", "pareto-blowup"):
@@ -120,7 +116,6 @@ def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
         return online, benchmarks.prophet_price(f_b, n)
 
     if cfg.scenario == "profit-sqrt-n":
-        _even(n)
         uni = _require_uniform(f_s, "profit-sqrt-n")
         _require_uniform(f_b, "profit-sqrt-n")
         stream = AgentStream.from_pattern(f"S^{n // 2} B^{n // 2}")
@@ -136,7 +131,6 @@ def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
         return online, offline.mean
 
     if cfg.scenario == "stock-limited":
-        _even(n)
         stream = AgentStream.from_pattern(f"(SB)^{n // 2}")
         policy = StockLimitedPolicy(cfg.stock_cap, f_s, f_b)
         online = monte_carlo(
@@ -149,8 +143,7 @@ def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
         stream = expand(parse_pattern(f"(S^{cfg.alpha} B)^{n}"))
         policy = BalancedPolicy(cfg.alpha, f_s, f_b)
         online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n, 0), objective="profit")
-        offline = n * solve_fractional(f_s, f_b, cfg.alpha).per_buyer_value
-        return online, offline
+        return online, n * policy.solution.per_buyer_value
 
     raise AssertionError(f"unhandled scenario {cfg.scenario}")
 

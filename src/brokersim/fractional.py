@@ -183,7 +183,6 @@ def certify_bounds(
     sol: FractionalSolution,
     f_s: Distribution,
     f_b: Distribution,
-    alpha: int,
     m: int,
 ) -> CertificateReport:
     """Check the solution against its analytic envelope.
@@ -193,7 +192,6 @@ def certify_bounds(
     are reported; a failure flags an infeasibility or regularity breach
     upstream.
     """
-    require_int("alpha", alpha, 1)
     m = require_int("m", m, 1)
     mu_s = f_s.mean
     mu_b = f_b.mean

@@ -112,8 +112,8 @@ def _suite_adaptive(seed: int, trials: int) -> list[CheckLine]:
     grid = 1024
     for alpha, max_m in ((1, 4), (2, 3)):
         worst = math.inf
+        per_buyer = solve_fractional(f_s, f_b, alpha).per_buyer_value
         for m in range(1, max_m + 1):
-            per_buyer = solve_fractional(f_s, f_b, alpha).per_buyer_value
             for stream in enumerate_alpha_balanced(alpha, m):
                 dp = benchmarks.adaptive_dp_oracle(stream, f_s, f_b, price_grid=grid)
                 worst = min(worst, m * per_buyer + len(stream) / grid - dp)
@@ -154,7 +154,7 @@ def _suite_bounds(seed: int, trials: int) -> list[CheckLine]:
 
     for alpha in (1, 2):
         sol = solve_fractional(f_s, f_b, alpha)
-        report = certify_bounds(sol, f_s, f_b, alpha, m=100)
+        report = certify_bounds(sol, f_s, f_b, m=100)
         for check in report.checks:
             checks.append(_line("bounds", f"certificate {check.name} alpha={alpha}", check.slack))
 

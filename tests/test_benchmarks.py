@@ -27,7 +27,6 @@ from brokersim import (
     uniform_offline_policy,
     welfare_upper_bound,
 )
-from brokersim.benchmarks import BoundReport
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
@@ -146,20 +145,20 @@ class TestAzumaBound:
 class TestBalancedProfitDecomposition:
     def test_full_liquidation_recovers_fractional_value(self):
         sol = solve_fractional(U, U, 1)
-        assert balanced_profit_decomposition(10, 1, sol, 0.0) == pytest.approx(10 * 0.125, abs=1e-9)
+        assert balanced_profit_decomposition(10, sol, 0.0) == pytest.approx(10 * 0.125, abs=1e-9)
 
     def test_single_block_value(self):
         sol = solve_fractional(U, U, 1)
-        assert balanced_profit_decomposition(1, 1, sol, 0.1875) == pytest.approx(-0.015625, abs=1e-9)
+        assert balanced_profit_decomposition(1, sol, 0.1875) == pytest.approx(-0.015625, abs=1e-9)
 
     def test_m_zero(self):
         sol = solve_fractional(U, U, 1)
-        assert balanced_profit_decomposition(0, 1, sol, 0.0) == 0.0
+        assert balanced_profit_decomposition(0, sol, 0.0) == 0.0
 
     def test_leftover_validated(self):
         sol = solve_fractional(U, U, 1)
         with pytest.raises(ValueError):
-            balanced_profit_decomposition(1, 1, sol, -0.5)
+            balanced_profit_decomposition(1, sol, -0.5)
 
     def test_matches_simulated_profit(self):
         # decomposition evaluated at the simulated E[Z_m] reproduces E[profit]
@@ -169,7 +168,7 @@ class TestBalancedProfitDecomposition:
         est = monte_carlo(
             stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U), U, U, 40_000, 29
         )
-        predicted = balanced_profit_decomposition(m, alpha, sol, ez.mean)
+        predicted = balanced_profit_decomposition(m, sol, ez.mean)
         tol = 3 * (est.std_err + sol.p * ez.std_err)
         assert abs(est.mean - predicted) <= tol
 
@@ -219,10 +218,3 @@ class TestFractionalDominance:
             for pol in policies:
                 est = monte_carlo(s, pol, U, U, 20_000, 41)
                 assert est.mean / m <= cap + 3 * est.std_err / m
-
-
-def test_bound_report_record():
-    report = BoundReport("kappa", 3.0, {"stream": "(SB)^3"})
-    assert report.name == "kappa"
-    assert report.value == 3.0
-    assert report.inputs["stream"] == "(SB)^3"

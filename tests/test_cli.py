@@ -10,6 +10,14 @@ def run(argv, capsys):
     return code, out, err
 
 
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestSimulate:
     ARGS = [
         "simulate",
@@ -98,6 +106,14 @@ class TestExperiment:
         assert code == 0
         assert [line.split(",")[0] for line in out_path.read_text().splitlines()[1:]] == ["20", "40"]
 
+    def test_config_values_parse_as_flags(self, capsys, tmp_path):
+        conf, by_conf, by_flags = tmp_path / "typed.conf", tmp_path / "conf.csv", tmp_path / "flags.csv"
+        conf.write_text("n_values = 4, 8,16\ndecay_eps = 0.25\n")
+        argv = ["experiment", "profit-sqrt-n", "--trials", "100"]
+        assert main(argv + ["--config", str(conf), "--out", str(by_conf)]) == 0
+        assert main(argv + ["--n-values", "4,8,16", "--decay-eps", "0.25", "--out", str(by_flags)]) == 0
+        assert by_conf.read_text() == by_flags.read_text()
+
     def test_bad_n_values_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "balanced", "--n-values", "20,x"])
@@ -142,7 +158,7 @@ class TestConfigAndEnv:
         assert code == 2
         assert "quantum" in err
 
-    @pytest.mark.parametrize("key", ["command", "config"])
+    @pytest.mark.parametrize("key", ["command", "config", "run"])
     def test_config_cannot_rebind_subcommand_or_config(self, capsys, tmp_path, key):
         conf = tmp_path / "rebind.conf"
         conf.write_text(f"{key} = verify\n")
@@ -150,11 +166,31 @@ class TestConfigAndEnv:
         assert code == 2
         assert repr(key) in err
 
+    @pytest.mark.parametrize("line", ["scenario = stock-limited", "trial = 150"])
+    def test_config_key_must_name_an_option(self, capsys, tmp_path, line):
+        # a positional is not an option, and argparse would read ``--trial`` as ``--trials``
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(line + "\n")
+        argv = ["experiment", "balanced", "--n-values", "8", "--trials", "100", "--out", str(tmp_path / "rows.csv")]
+        assert exit_code(argv + ["--config", str(conf)]) == 2
+        assert repr(line.split()[0]) in capsys.readouterr().err
+
+    def test_bad_config_value_names_its_option(self, capsys, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("objective = median\n")
+        assert exit_code(TestSimulate.ARGS + ["--config", str(conf)]) == 2
+        assert "--objective" in capsys.readouterr().err
+
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BROKERSIM_SEED", "abc")
+        assert exit_code(["verify", "matching"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_parse_config_types(self, tmp_path):
         conf = tmp_path / "typed.conf"
         conf.write_text("# comment only\nn_values = 4, 8,16\ndecay_eps = 0.25\nout = results.csv\n")
         values = parse_config(str(conf))
-        assert values == {"n_values": (4, 8, 16), "decay_eps": 0.25, "out": "results.csv"}
+        assert values == {"n_values": "4, 8,16", "decay_eps": "0.25", "out": "results.csv"}
 
     def test_parse_config_rejects_bad_lines(self, tmp_path):
         conf = tmp_path / "broken.conf"

@@ -20,9 +20,10 @@ class TestConfig:
             ExperimentConfig(scenario="mystery", n_values=(10,))
 
     def test_profit_scenario_requires_even_n(self):
-        cfg = ExperimentConfig(scenario="profit-sqrt-n", n_values=(15,), trials=100)
-        with pytest.raises(ValueError):
-            run_experiment(cfg)
+        # an odd n at the end of a sweep fails at construction, before any row runs
+        for scenario in ("profit-sqrt-n", "stock-limited"):
+            with pytest.raises(ValueError, match="even n"):
+                ExperimentConfig(scenario=scenario, n_values=(16, 17), trials=100)
 
     def test_profit_scenario_requires_uniform_values(self):
         cfg = ExperimentConfig(

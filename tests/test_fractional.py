@@ -107,7 +107,7 @@ class TestSolveGeneral:
 class TestCertify:
     def test_uniform_alpha_1_passes(self):
         sol = solve_fractional(U, U, 1)
-        report = certify_bounds(sol, U, U, 1, m=1)
+        report = certify_bounds(sol, U, U, m=1)
         assert report.all_passed
         by_name = {c.name: c for c in report.checks}
         # value 0.125 over floor mu_B/(2*e*r) with r=2; price 0.75 under 4*ln(4*e*r)*mu_B
@@ -116,12 +116,12 @@ class TestCertify:
 
     def test_scales_with_m(self):
         sol = solve_fractional(U, U, 1)
-        r10 = certify_bounds(sol, U, U, 1, m=10)
+        r10 = certify_bounds(sol, U, U, m=10)
         assert r10.checks[0].slack == pytest.approx(10 * (0.125 - 0.04598493014643029), abs=1e-8)
 
     def test_no_trade_solution_flagged(self):
         sol = solve_fractional(Uniform(2.0, 3.0), Uniform(0.0, 0.5), 1)
-        report = certify_bounds(sol, Uniform(2.0, 3.0), Uniform(0.0, 0.5), 1, m=1)
+        report = certify_bounds(sol, Uniform(2.0, 3.0), Uniform(0.0, 0.5), m=1)
         assert not report.all_passed
         assert not report.checks[0].passed
 
@@ -129,7 +129,7 @@ class TestCertify:
         e = Exponential(1.0)
         for alpha in (1, 2):
             sol = solve_fractional(e, e, alpha)
-            assert certify_bounds(sol, e, e, alpha, m=7).all_passed
+            assert certify_bounds(sol, e, e, m=7).all_passed
 
 
 def test_runtime_under_one_second():

@@ -60,8 +60,6 @@ ENTRY_POINTS = [
     ("azuma_bound.alpha", lambda v: azuma_bound(10, v), 1),
     ("inventory_terminal.alpha", lambda v: inventory_terminal(v, 2, U, U, 10, 0), 1),
     ("ExperimentConfig.alpha", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), alpha=v), 1),
-    ("certify_bounds.alpha", lambda v: certify_bounds(SOL, U, U, v, m=1), 1),
-    ("balanced_profit_decomposition.alpha", lambda v: balanced_profit_decomposition(2, v, SOL, 0.0), 1),
     # stock cap / capacity >= 1
     ("monte_carlo.stock_cap", lambda v: monte_carlo(SSBB, FIXED, U, U, 10, 0, stock_cap=v), 1),
     ("run_trial.stock_cap", lambda v: run_trial(SSBB, FIXED, U, U, rng(), stock_cap=v), 1),
@@ -86,8 +84,8 @@ ENTRY_POINTS = [
     ("top_k_sum_bound.m", lambda v: top_k_sum_bound(0.5, 0.3, v, 3), 3),
     ("check_regularity.grid_points", lambda v: check_regularity(U, v), 3),
     ("adaptive_dp_oracle.price_grid", lambda v: adaptive_dp_oracle(SB, U, U, price_grid=v), 2),
-    ("certify_bounds.m", lambda v: certify_bounds(SOL, U, U, 1, m=v), 1),
-    ("balanced_profit_decomposition.m", lambda v: balanced_profit_decomposition(v, 1, SOL, 0.0), 0),
+    ("certify_bounds.m", lambda v: certify_bounds(SOL, U, U, m=v), 1),
+    ("balanced_profit_decomposition.m", lambda v: balanced_profit_decomposition(v, SOL, 0.0), 0),
     ("ExperimentConfig.n_values", lambda v: ExperimentConfig(scenario="balanced", n_values=(v,), trials=100), 1),
     ("profit-sqrt-n.n", lambda v: run_experiment(ExperimentConfig(scenario="profit-sqrt-n", n_values=(v,), trials=100)), 2),
     # trials
