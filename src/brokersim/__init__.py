@@ -11,14 +11,12 @@ competitive ratios.
 
 from .distributions import (
     Distribution,
-    DistributionStats,
     Exponential,
     Pareto,
     RegularityReport,
     Uniform,
     check_regularity,
     harmonic,
-    order_stat_mean_quadrature,
     parse_distribution,
     top_k_sum_bound,
 )
@@ -32,10 +30,9 @@ from .streams import (
     expand,
     is_alpha_balanced,
     parse_pattern,
-    prefix_dominates,
     random_alpha_balanced,
 )
-from .matching import TemporalMatching, brute_force_max_matching, fifo_match, max_matchable
+from .matching import brute_force_max_matching, fifo_match, max_matchable
 from .policies import (
     BalancedPolicy,
     DecayingSellerPolicy,
@@ -47,7 +44,6 @@ from .policies import (
     build_policy,
 )
 from .fractional import (
-    CertificateReport,
     FractionalSolution,
     certify_bounds,
     solve_fractional,
@@ -63,13 +59,11 @@ from .engine import (
     profit,
     run_trial,
     welfare,
-    welfare_series,
 )
 from .benchmarks import (
     adaptive_dp_oracle,
     azuma_bound,
     balanced_profit_decomposition,
-    profit_upper_bound_general,
     profit_upper_bound_stocked,
     prophet_price,
     uniform_offline_policy,

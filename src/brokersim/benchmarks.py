@@ -4,7 +4,6 @@ Upper bounds (analytic):
 
 * ``welfare_upper_bound``: no schedule beats granting every seller her value
   and selling kappa items at the buyers' maximum order statistic.
-* ``profit_upper_bound_general``: 3*sqrt(kappa*n)*mu_B for MHR buyer values.
 * ``profit_upper_bound_stocked``: kappa_K * H_n * mu_B under a stock cap K.
 * ``azuma_bound``: concentration cap on the expected terminal inventory of
   the balanced walk.
@@ -27,15 +26,14 @@ import math
 
 import numpy as np
 
-from .distributions import Distribution, check_regularity, harmonic
-from .errors import RegularityError, require_int
+from .distributions import Distribution, harmonic
+from .errors import require_int
 from .fractional import FractionalSolution
 from .matching import max_matchable
 from .streams import AgentStream, SELLER
 
 __all__ = [
     "welfare_upper_bound",
-    "profit_upper_bound_general",
     "profit_upper_bound_stocked",
     "uniform_offline_policy",
     "prophet_price",
@@ -52,15 +50,6 @@ def welfare_upper_bound(stream: AgentStream, f_s: Distribution, f_b: Distributio
         return base
     kappa = max_matchable(stream, None)
     return base + kappa * f_b.max_order_stat_mean(stream.n_B)
-
-
-def profit_upper_bound_general(stream: AgentStream, f_b: Distribution) -> float:
-    """3*sqrt(kappa)*sqrt(n)*mu_B; valid for MHR buyer values."""
-    report = check_regularity(f_b)
-    if not report.mhr:
-        raise RegularityError(f"profit bound requires an MHR buyer distribution, {f_b} fails")
-    kappa = max_matchable(stream, None)
-    return 3.0 * math.sqrt(kappa) * math.sqrt(len(stream)) * f_b.mean
 
 
 def profit_upper_bound_stocked(stream: AgentStream, capacity: int, f_b: Distribution) -> float:

@@ -13,8 +13,8 @@ Subcommands::
 The default seed comes from the ``BROKERSIM_SEED`` environment variable
 (falling back to 42) and is parsed like ``--seed``.  ``--config FILE`` reads
 ``key = value`` lines (``#`` comments allowed); each entry is parsed as the
-flag ``--key=value`` placed after the command line, so it overrides that flag
-and goes through the flag's own type and choices.
+flag ``--key=value`` placed after the command line, so it overrides that flag,
+may supply a required one, and goes through the flag's own type and choices.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -69,17 +69,6 @@ def parse_config(path: str) -> dict[str, str]:
 # namespace entries that are not --options: the subcommand, its handler,
 # --config itself and the positionals
 _NOT_OPTIONS = frozenset({"command", "run", "config", "scenario", "suite"})
-
-
-def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The entries of ``args.config`` as ``--key=value`` flags."""
-    flags = []
-    for key, value in parse_config(args.config).items():
-        # an exact dest only: argparse would take ``trial`` as ``--trials``
-        if key in _NOT_OPTIONS or not hasattr(args, key):
-            raise SpecParseError(f"config key {key!r} does not match any option of this subcommand")
-        flags.append(f"--{key.replace('_', '-')}={value}")
-    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,9 +161,9 @@ def _cmd_solve_fractional(args) -> int:
     f_s = parse_distribution(args.seller_dist)
     f_b = parse_distribution(args.buyer_dist)
     sol = solve_fractional(f_s, f_b, args.alpha)
-    report = certify_bounds(sol, f_s, f_b, m=1)
     certs = " ".join(
-        f"{c.name}={'PASS' if c.passed else 'FAIL'}(slack={_fmt(c.slack)})" for c in report.checks
+        f"{c.name}={'PASS' if c.passed else 'FAIL'}(slack={_fmt(c.slack)})"
+        for c in certify_bounds(sol, f_s, f_b, m=1)
     )
     print(
         f"alpha={args.alpha} p={_fmt(sol.p)} q={_fmt(sol.q)} "
@@ -214,11 +203,21 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    # --config is read before the full parse, so its entries may supply required options
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
     try:
-        if args.config:
-            # config entries parse as flags after the command line, so they override it
-            args = parser.parse_args(argv + _config_flags(args))
+        path = pre.parse_known_args(argv)[0].config
+        entries = parse_config(path) if path else {}
+        # config entries parse as flags after the command line, so they override it
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+        args, extra = parser.parse_known_args(argv + flags)
+        for key in entries:
+            # an exact dest only: argparse takes ``trial`` as ``--trials``
+            if key in _NOT_OPTIONS or not hasattr(args, key):
+                raise SpecParseError(f"config key {key!r} does not match any option of this subcommand")
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.run(args)
     except (SpecParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

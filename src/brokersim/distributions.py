@@ -42,7 +42,6 @@ __all__ = [
     "DistributionStats",
     "RegularityReport",
     "check_regularity",
-    "order_stat_mean_quadrature",
     "top_k_sum_bound",
     "parse_distribution",
     "harmonic",
@@ -94,9 +93,6 @@ class Distribution:
     @property
     def mean(self) -> float:
         return self.stats().mean
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.quantile(rng.random()))
 
     def _check_u(self, u):
         arr = np.asarray(u, dtype=float)
@@ -260,24 +256,6 @@ def harmonic(n: int) -> float:
     """n-th harmonic number; exact summation, 0 for n = 0."""
     n = require_int("n", n, 0)
     return math.fsum(1.0 / i for i in range(1, n + 1))
-
-
-def order_stat_mean_quadrature(d: Distribution, m: int, rel_tol: float = 1e-8) -> float:
-    """E[max of m draws] via adaptive quadrature of ``int_0^1 Q(u) m u^(m-1) du``.
-
-    Integrating on the quantile domain sidesteps infinite supports.  The
-    closed forms in ``max_order_stat_mean`` are the fast path; this is the
-    generic route and the cross-check.
-    """
-    from scipy import integrate  # scipy loads on first use, not on import
-
-    m = require_int("m", m, 1)
-
-    def integrand(u):
-        return float(d.quantile(u)) * m * u ** (m - 1)
-
-    val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200)
-    return val
 
 
 def top_k_sum_bound(mean: float, std: float, m: int, k: int) -> float:

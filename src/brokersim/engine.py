@@ -35,7 +35,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import require_int
 from .policies import BalancedPolicy, PricePolicy
-from .streams import AgentStream, BUYER, SELLER, expand, parse_pattern
+from .streams import AgentStream, BUYER, SELLER
 
 __all__ = [
     "RandomStream",
@@ -46,7 +46,6 @@ __all__ = [
     "welfare",
     "monte_carlo",
     "inventory_terminal",
-    "welfare_series",
 ]
 
 _TRIAL_CHUNK = 8192
@@ -341,23 +340,8 @@ def inventory_terminal(
     """
     alpha = require_int("alpha", alpha, 1)
     m = require_int("m", m, 0)
-    stream = expand(parse_pattern(f"(S^{alpha} B)^{m}"))
+    stream = AgentStream.from_pattern(f"(S^{alpha} B)^{m}")
     policy = BalancedPolicy(alpha, f_s, f_b)
     samples = _mc_samples(stream, policy, f_s, f_b, trials, seed, None, "leftover")
     return MCEstimate.from_samples(samples)
 
-
-def welfare_series(prices, f: Distribution) -> float:
-    """Closed-form expected welfare of the one-seller-then-buyers scenario.
-
-    The seller is granted her full expected value and the item enters stock
-    for sure; buyer t then contributes only if no earlier buyer bought:
-
-        W(p) = mu + sum_t prod_{j<t} F(p_j) * E[X 1{X >= p_t}].
-    """
-    total = f.mean
-    survive = 1.0
-    for p in prices:
-        total += survive * f.upper_partial_mean(float(p))
-        survive *= float(f.cdf(p))
-    return total

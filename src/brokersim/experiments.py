@@ -38,7 +38,7 @@ from .policies import (
     MedianPolicy,
     StockLimitedPolicy,
 )
-from .streams import AgentStream, parse_pattern, expand
+from .streams import AgentStream
 
 __all__ = ["SCENARIOS", "DEFAULT_SWEEPS", "ExperimentConfig", "RatioRow", "run_experiment", "emit_csv", "loglog_slope"]
 
@@ -140,7 +140,7 @@ def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
         return online, benchmarks.profit_upper_bound_stocked(stream, cfg.stock_cap, f_b)
 
     if cfg.scenario == "balanced":
-        stream = expand(parse_pattern(f"(S^{cfg.alpha} B)^{n}"))
+        stream = AgentStream.from_pattern(f"(S^{cfg.alpha} B)^{n}")
         policy = BalancedPolicy(cfg.alpha, f_s, f_b)
         online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n, 0), objective="profit")
         return online, n * policy.solution.per_buyer_value

@@ -28,7 +28,6 @@ from .errors import RegularityError, require_int
 __all__ = [
     "FractionalSolution",
     "CheckResult",
-    "CertificateReport",
     "virtual_value",
     "virtual_cost",
     "solve_fractional",
@@ -170,21 +169,12 @@ class CheckResult:
     slack: float
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def certify_bounds(
     sol: FractionalSolution,
     f_s: Distribution,
     f_b: Distribution,
     m: int,
-) -> CertificateReport:
+) -> tuple[CheckResult, ...]:
     """Check the solution against its analytic envelope.
 
     With r = max(2, mu_S/mu_B): (i) total value m*per_buyer_value is at least
@@ -200,8 +190,7 @@ def certify_bounds(
     value_slack = m * sol.per_buyer_value - value_floor
     price_ceiling = 4.0 * math.log(4.0 * math.e * r) * mu_b
     price_slack = price_ceiling - sol.p
-    checks = (
+    return (
         CheckResult("value-lower-bound", value_slack >= -1e-12, value_slack),
         CheckResult("buyer-price-upper-bound", price_slack >= -1e-12, price_slack),
     )
-    return CertificateReport(checks)

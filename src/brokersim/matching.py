@@ -12,50 +12,19 @@ is the independent exhaustive oracle used to certify that FIFO is maximal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import require_int
-from .streams import AgentStream, BUYER, SELLER
+from .streams import AgentStream, SELLER
 
-__all__ = ["TemporalMatching", "fifo_match", "brute_force_max_matching", "max_matchable"]
+__all__ = ["fifo_match", "brute_force_max_matching", "max_matchable"]
 
 _BRUTE_FORCE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class TemporalMatching:
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def validate(self, stream: AgentStream, capacity: int | None = None) -> None:
-        """Raise ValueError if any structural invariant is broken."""
-        capacity = None if capacity is None else require_int("capacity", capacity, 1)
-        seen = set()
-        cuts = [0] * (len(stream) + 1)
-        for i, j in self.pairs:
-            if not (0 <= i < j < len(stream)):
-                raise ValueError(f"pair ({i}, {j}) is not seller-before-buyer in range")
-            if int(stream.roles[i]) != SELLER or int(stream.roles[j]) != BUYER:
-                raise ValueError(f"pair ({i}, {j}) does not join a seller to a buyer")
-            if i in seen or j in seen:
-                raise ValueError(f"index reused by pair ({i}, {j})")
-            seen.update((i, j))
-            cuts[i] += 1
-            cuts[j] -= 1
-        if capacity is not None:
-            open_pairs = 0
-            for t, delta in enumerate(cuts):
-                open_pairs += delta
-                if open_pairs > capacity:
-                    raise ValueError(f"temporal cut {open_pairs} exceeds capacity {capacity} at position {t}")
-
-
-def fifo_match(stream: AgentStream, capacity: int | None = None) -> TemporalMatching:
-    """Single pass: sellers enter a FIFO queue while it holds fewer than
-    ``capacity`` items; each buyer pops the front if the queue is nonempty."""
+def fifo_match(stream: AgentStream, capacity: int | None = None) -> tuple[tuple[int, int], ...]:
+    """The (seller, buyer) index pairs of a single pass: sellers enter a FIFO
+    queue while it holds fewer than ``capacity`` items; each buyer pops the
+    front if the queue is nonempty."""
     capacity = None if capacity is None else require_int("capacity", capacity, 1)
     queue: deque[int] = deque()
     pairs = []
@@ -65,7 +34,7 @@ def fifo_match(stream: AgentStream, capacity: int | None = None) -> TemporalMatc
                 queue.append(t)
         elif queue:
             pairs.append((queue.popleft(), t))
-    return TemporalMatching(tuple(pairs))
+    return tuple(pairs)
 
 
 def brute_force_max_matching(stream: AgentStream, capacity: int | None = None) -> int:
@@ -104,4 +73,4 @@ def brute_force_max_matching(stream: AgentStream, capacity: int | None = None) -
 
 def max_matchable(stream: AgentStream, capacity: int | None = None) -> int:
     """Size of the largest temporal matching (kappa); computed by FIFO."""
-    return fifo_match(stream, capacity).size
+    return len(fifo_match(stream, capacity))

@@ -69,9 +69,6 @@ class PricePolicy:
         """Prices offered to sellers 1..n_sellers; entry i-1 is seller i's."""
         return np.full(n_sellers, float(self.q))
 
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
 
 def _check_price(name, value):
     if not (math.isfinite(value) and value >= 0.0):
@@ -87,9 +84,6 @@ class FixedPricePolicy(PricePolicy):
         self.q = q
         self.p = p
 
-    def spec_string(self):
-        return f"fixed:{self.q:g},{self.p:g}"
-
 
 class MedianPolicy(PricePolicy):
     """Post each side the median of its own distribution."""
@@ -98,9 +92,6 @@ class MedianPolicy(PricePolicy):
         self.q = float(f_s.quantile(0.5))
         self.p = float(f_b.quantile(0.5))
 
-    def spec_string(self):
-        return "median"
-
 
 class FixedQuantilePolicy(PricePolicy):
     """Seller price at the 1/c1 quantile, buyer price at (c2-1)/c2."""
@@ -108,13 +99,8 @@ class FixedQuantilePolicy(PricePolicy):
     def __init__(self, c1: float, c2: float, f_s: Distribution, f_b: Distribution):
         if not (c1 > 1.0 and c2 > 1.0):
             raise ValueError(f"quantile constants must exceed 1, got c1={c1}, c2={c2}")
-        self.c1 = c1
-        self.c2 = c2
         self.q = float(f_s.quantile(1.0 / c1))
         self.p = float(f_b.quantile((c2 - 1.0) / c2))
-
-    def spec_string(self):
-        return f"quantile:{self.c1:g},{self.c2:g}"
 
 
 class DecayingSellerPolicy(PricePolicy):
@@ -139,9 +125,6 @@ class DecayingSellerPolicy(PricePolicy):
         u = [math.exp(-1.0) * i ** -(0.5 + self.eps) for i in range(1, n_sellers + 1)]
         return self._f_s.quantile(np.array(u, dtype=float))
 
-    def spec_string(self):
-        return f"decay:{self.eps:g}"
-
 
 class StockLimitedPolicy(PricePolicy):
     """Buy only while fewer than K items are held.
@@ -157,9 +140,6 @@ class StockLimitedPolicy(PricePolicy):
         self.q = float(f_s.quantile(1.0 / (2.0 * math.e * self.stock_limit * r)))
         self.p = f_b.mean
 
-    def spec_string(self):
-        return f"stock:{self.stock_limit}"
-
 
 class BalancedPolicy(PricePolicy):
     """Post the optimal fractional price pair for alpha-balanced traffic."""
@@ -170,13 +150,9 @@ class BalancedPolicy(PricePolicy):
             raise ValueError(
                 f"fractional program for {f_s}/{f_b} at alpha={alpha} admits no profitable trade"
             )
-        self.alpha = int(alpha)
         self.solution: FractionalSolution = solution
         self.q = solution.q
         self.p = solution.p
-
-    def spec_string(self):
-        return f"balanced:{self.alpha}"
 
 
 _KINDS = {

@@ -1,5 +1,5 @@
-"""Agent arrival sequences: concrete streams, the pattern language, balance
-and prefix-domination predicates.
+"""Agent arrival sequences: concrete streams, the pattern language, the
+alpha-balance predicate and balanced-stream generators.
 
 Patterns follow the grammar ``pattern := term+`` with
 ``term := atom | atom '^' uint | '(' pattern ')' '^' uint`` and
@@ -24,7 +24,6 @@ __all__ = [
     "parse_pattern",
     "expand",
     "is_alpha_balanced",
-    "prefix_dominates",
     "random_alpha_balanced",
     "enumerate_alpha_balanced",
 ]
@@ -176,14 +175,6 @@ class AgentStream:
         self._prefix = None
 
     @classmethod
-    def from_text(cls, text: str) -> "AgentStream":
-        chars = [c for c in text if not c.isspace()]
-        bad = next((c for c in chars if c not in _ROLE_FOR_CHAR), None)
-        if bad is not None:
-            raise SpecParseError(f"invalid role character {bad!r} in {text!r}")
-        return cls(np.array([_ROLE_FOR_CHAR[c] for c in chars], dtype=np.uint8))
-
-    @classmethod
     def from_pattern(cls, text: str) -> "AgentStream":
         return expand(parse_pattern(text))
 
@@ -200,11 +191,6 @@ class AgentStream:
         if self._prefix is None:
             self._prefix = np.cumsum(self.roles == SELLER)
         return self._prefix
-
-    def prefix_sellers(self, t: int) -> int:
-        if t <= 0:
-            return 0
-        return int(self.seller_prefix_counts()[min(t, self.n) - 1])
 
     def __len__(self):
         return self.roles.size
@@ -236,13 +222,6 @@ def is_alpha_balanced(stream: AgentStream, alpha: int) -> bool:
     buyer_pos = np.nonzero(stream.roles == BUYER)[0]
     need = alpha * np.arange(1, stream.n_B + 1)
     return bool(np.all(cum[buyer_pos] >= need))
-
-
-def prefix_dominates(s1: AgentStream, s2: AgentStream) -> bool:
-    """Weak domination: every prefix of s1 has at least as many sellers as s2's."""
-    if len(s1) != len(s2):
-        raise ValueError(f"streams must have equal length, got {len(s1)} and {len(s2)}")
-    return bool(np.all(s1.seller_prefix_counts() >= s2.seller_prefix_counts()))
 
 
 def random_alpha_balanced(alpha: int, m: int, rng: np.random.Generator) -> AgentStream:

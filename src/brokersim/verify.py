@@ -98,7 +98,7 @@ def _suite_matching(seed: int, trials: int) -> list[CheckLine]:
         for length in range(1, max_len + 1):
             for bits in itertools.product((0, 1), repeat=length):
                 stream = AgentStream(np.array(bits, dtype=np.uint8))
-                if fifo_match(stream, capacity).size != brute_force_max_matching(stream, capacity):
+                if len(fifo_match(stream, capacity)) != brute_force_max_matching(stream, capacity):
                     mismatches += 1
         label = "unbounded" if capacity is None else f"K={capacity}"
         slack = 0.0 if mismatches == 0 else -float(mismatches)
@@ -154,8 +154,7 @@ def _suite_bounds(seed: int, trials: int) -> list[CheckLine]:
 
     for alpha in (1, 2):
         sol = solve_fractional(f_s, f_b, alpha)
-        report = certify_bounds(sol, f_s, f_b, m=100)
-        for check in report.checks:
+        for check in certify_bounds(sol, f_s, f_b, m=100):
             checks.append(_line("bounds", f"certificate {check.name} alpha={alpha}", check.slack))
 
     rng = RandomStream(seed).substream(0)

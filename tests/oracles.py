@@ -2,9 +2,10 @@
 
 These deliberately avoid the production code paths they are checking:
 order-statistic means integrate the survival function on the value domain
-(the library integrates on the quantile domain / uses closed forms), the
-fractional oracle is a flat grid scan (the library refines with golden
-section), and kappa comes from a prefix flow bound (the library runs FIFO).
+(the library uses closed forms), the fractional oracle is a flat grid scan
+(the library refines with golden section), and kappa comes from a prefix
+flow bound (the library runs FIFO).  ``validate_matching`` and
+``prefix_dominates`` are reference checks on the library's outputs.
 """
 
 import math
@@ -85,3 +86,34 @@ def balanced_online_profit_expectation(m, p, q, f_s_cdf_q, f_b_sf_p, trials_exac
 
 def harmonic_direct(n):
     return math.fsum(1.0 / i for i in range(1, n + 1))
+
+
+def prefix_dominates(s1, s2):
+    """Weak domination: every prefix of s1 has at least as many sellers as s2's."""
+    if len(s1) != len(s2):
+        raise ValueError(f"streams must have equal length, got {len(s1)} and {len(s2)}")
+    return bool(np.all(s1.seller_prefix_counts() >= s2.seller_prefix_counts()))
+
+
+def validate_matching(pairs, stream, capacity=None):
+    """Raise ValueError unless ``pairs`` is a temporal matching of ``stream``:
+    each pair joins a seller to a later buyer, no index is reused, and no
+    temporal cut holds more than ``capacity`` open pairs."""
+    seen = set()
+    cuts = [0] * (len(stream) + 1)
+    for i, j in pairs:
+        if not (0 <= i < j < len(stream)):
+            raise ValueError(f"pair ({i}, {j}) is not seller-before-buyer in range")
+        if int(stream.roles[i]) != SELLER or int(stream.roles[j]) != BUYER:
+            raise ValueError(f"pair ({i}, {j}) does not join a seller to a buyer")
+        if i in seen or j in seen:
+            raise ValueError(f"index reused by pair ({i}, {j})")
+        seen.update((i, j))
+        cuts[i] += 1
+        cuts[j] -= 1
+    if capacity is not None:
+        open_pairs = 0
+        for t, delta in enumerate(cuts):
+            open_pairs += delta
+            if open_pairs > capacity:
+                raise ValueError(f"temporal cut {open_pairs} exceeds capacity {capacity} at position {t}")

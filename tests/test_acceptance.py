@@ -134,7 +134,7 @@ def test_criterion_02_fifo_maximality_exhaustive(capsys):
             stream = AgentStream(np.array(bits, dtype=np.uint8))
             for cap in (1, 2, 3, None):
                 checked += 1
-                if fifo_match(stream, cap).size != brute_force_max_matching(stream, cap):
+                if len(fifo_match(stream, cap)) != brute_force_max_matching(stream, cap):
                     mismatches += 1
     elapsed = time.perf_counter() - start
     report(
@@ -178,7 +178,7 @@ def test_criterion_04_adaptive_below_fractional(capsys):
                 dp = adaptive_dp_oracle(stream, U01, U01, price_grid=grid)
                 worst_slack = min(worst_slack, cap + len(stream) / grid - dp)
                 count += 1
-    sb = adaptive_dp_oracle(AgentStream.from_text("SB"), U01, U01, price_grid=grid)
+    sb = adaptive_dp_oracle(AgentStream.from_pattern("SB"), U01, U01, price_grid=grid)
     sb_ok = abs(sb - 1 / 64) <= 2 / grid
     report(
         capsys, 4, "adaptive <= fractional", worst_slack >= 0.0 and sb_ok and count == 267,

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from brokersim import (
@@ -8,8 +6,6 @@ from brokersim import (
     Exponential,
     FixedPricePolicy,
     MedianPolicy,
-    Pareto,
-    RegularityError,
     StockLimitedPolicy,
     Uniform,
     adaptive_dp_oracle,
@@ -19,7 +15,6 @@ from brokersim import (
     harmonic,
     inventory_terminal,
     monte_carlo,
-    profit_upper_bound_general,
     profit_upper_bound_stocked,
     prophet_price,
     random_alpha_balanced,
@@ -55,19 +50,6 @@ class TestWelfareUpperBound:
 
 
 class TestProfitUpperBounds:
-    def test_general_formula(self):
-        assert profit_upper_bound_general(stream("SB"), U) == pytest.approx(3 * math.sqrt(2) * 0.5, abs=1e-12)
-        assert profit_upper_bound_general(stream("S^50 B^50"), U) == pytest.approx(
-            3 * math.sqrt(50) * 10 * 0.5, abs=1e-9
-        )
-
-    def test_general_zero_kappa(self):
-        assert profit_upper_bound_general(stream("B^3"), U) == 0.0
-
-    def test_general_requires_mhr(self):
-        with pytest.raises(RegularityError):
-            profit_upper_bound_general(stream("SB"), Pareto(0.5))
-
     def test_stocked_formula(self):
         assert profit_upper_bound_stocked(stream("SB"), 1, U) == pytest.approx(0.75, abs=1e-12)
         assert profit_upper_bound_stocked(stream("SSBB"), 1, U) == pytest.approx(harmonic(4) * 0.5, abs=1e-12)

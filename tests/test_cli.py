@@ -151,6 +151,27 @@ class TestConfigAndEnv:
         assert code == 0
         assert "trials=150" in out and "seed=99" in out
 
+    def test_config_supplies_required_options(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("stream = (SB)^10\npolicy = median\nseller_dist = uniform:0,1\nbuyer-dist = uniform:0,1\n")
+        by_flags = run(TestSimulate.ARGS, capsys)
+        by_conf = run(["simulate", "--trials", "300", "--seed", "6", "--config", str(conf)], capsys)
+        assert by_conf == by_flags and by_conf[0] == 0
+
+    def test_config_supplies_required_alpha(self, capsys, tmp_path):
+        conf = tmp_path / "frac.conf"
+        conf.write_text("alpha = 2\n")
+        argv = ["solve-fractional", "--seller-dist", "uniform:0,1", "--buyer-dist", "uniform:0,1"]
+        by_conf = run(argv + ["--config", str(conf)], capsys)
+        assert by_conf == run(argv + ["--alpha", "2"], capsys) and by_conf[0] == 0
+        assert "alpha=2 " in by_conf[1]
+
+    def test_missing_required_option_is_named(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("stream = SB\npolicy = median\nseller_dist = uniform:0,1\n")
+        assert exit_code(["simulate", "--trials", "10", "--config", str(conf)]) == 2
+        assert "--buyer-dist" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("quantum = 3\n")

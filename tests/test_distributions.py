@@ -14,11 +14,10 @@ from brokersim import (
     Uniform,
     check_regularity,
     harmonic,
-    order_stat_mean_quadrature,
     parse_distribution,
     top_k_sum_bound,
 )
-from oracles import order_stat_mean_by_survival
+from oracles import order_stat_mean_by_survival, tail_value_by_quadrature
 
 MHR_FAMILY = [Exponential(0.5), Exponential(1.0), Exponential(2.0), Uniform(0.0, 1.0), Uniform(0.0, 2.0)]
 
@@ -108,16 +107,9 @@ class TestStats:
 
 class TestSampling:
     def test_inverse_transform_identity(self, u01):
-        class FixedRng:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
-        assert u01.sample(FixedRng(0.25)) == 0.25
-        assert Exponential(1.0).sample(FixedRng(1 - 1 / math.e)) == pytest.approx(1.0, abs=1e-12)
-        assert Pareto(0.5).sample(FixedRng(0.0)) == 1.0
+        assert u01.quantile(0.25) == 0.25
+        assert Exponential(1.0).quantile(1 - 1 / math.e) == pytest.approx(1.0, abs=1e-12)
+        assert Pareto(0.5).quantile(0.0) == 1.0
 
     @pytest.mark.parametrize("d", [Uniform(0, 1), Exponential(1.0), Pareto(0.8)])
     def test_sample_mean_within_four_stderr(self, d, rng):
@@ -150,13 +142,20 @@ class TestMaxOrderStat:
     def test_against_survival_quadrature(self, d, m):
         assert d.max_order_stat_mean(m) == pytest.approx(order_stat_mean_by_survival(d, m), rel=1e-7)
 
-    @pytest.mark.parametrize("d,m", [(Uniform(0.3, 2.7), 7), (Exponential(0.5), 5), (Pareto(0.6), 9)])
-    def test_quantile_quadrature_path_agrees(self, d, m):
-        assert order_stat_mean_quadrature(d, m) == pytest.approx(d.max_order_stat_mean(m), rel=1e-7)
-
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             Uniform(0, 1).max_order_stat_mean(0)
+
+
+class TestPartialMean:
+    @pytest.mark.parametrize("d", [Uniform(0, 1), Exponential(1.0), Pareto(0.5), Uniform(0.5, 2.0)], ids=str)
+    def test_tail_integral_against_quadrature(self, d):
+        lo, hi = d.support()
+        probe = [lo + 0.1, lo + 1.0, 2.0 * d.mean]
+        if math.isfinite(hi):
+            probe.append(hi - 1e-3)
+        for y in probe:
+            assert d.upper_partial_mean(y) == pytest.approx(tail_value_by_quadrature(d, y), rel=1e-7, abs=1e-10)
 
 
 class TestRegularity:

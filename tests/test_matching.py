@@ -5,28 +5,26 @@ import pytest
 
 from brokersim import (
     AgentStream,
-    TemporalMatching,
     brute_force_max_matching,
     fifo_match,
     max_matchable,
 )
-from oracles import kappa_by_flow
+from oracles import kappa_by_flow, validate_matching
 
 
 def stream(text):
-    return AgentStream.from_text(text)
+    return AgentStream.from_pattern(text)
 
 
 class TestFifo:
     def test_single_seller(self):
-        m = fifo_match(stream("SBB"))
-        assert m.pairs == ((0, 1),)
+        assert fifo_match(stream("SBB")) == ((0, 1),)
 
     def test_capacity_one_drops_second_seller(self):
-        assert fifo_match(stream("SSBB"), 1).size == 1
+        assert len(fifo_match(stream("SSBB"), 1)) == 1
 
     def test_capacity_two_matches_both(self):
-        assert fifo_match(stream("SSBB"), 2).pairs == ((0, 2), (1, 3))
+        assert fifo_match(stream("SSBB"), 2) == ((0, 2), (1, 3))
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -35,7 +33,7 @@ class TestFifo:
     def test_outputs_validate(self):
         for text in ("SSBBSB", "BSBS", "SSSBBB"):
             for cap in (1, 2, None):
-                fifo_match(stream(text), cap).validate(stream(text), cap)
+                validate_matching(fifo_match(stream(text), cap), stream(text), cap)
 
 
 class TestBruteForce:
@@ -86,25 +84,25 @@ class TestFifoMaximality:
             for bits in itertools.product((0, 1), repeat=length):
                 s = AgentStream(np.array(bits, dtype=np.uint8))
                 for cap in (1, 2, 3, None):
-                    assert fifo_match(s, cap).size == brute_force_max_matching(s, cap), (bits, cap)
+                    assert len(fifo_match(s, cap)) == brute_force_max_matching(s, cap), (bits, cap)
 
 
 class TestValidator:
     def test_accepts_valid(self):
-        TemporalMatching(((0, 2), (1, 3))).validate(stream("SSBB"), 2)
+        validate_matching(((0, 2), (1, 3)), stream("SSBB"), 2)
 
     def test_rejects_buyer_before_seller(self):
         with pytest.raises(ValueError):
-            TemporalMatching(((1, 0),)).validate(stream("BS"))
+            validate_matching(((1, 0),), stream("BS"))
 
     def test_rejects_wrong_roles(self):
         with pytest.raises(ValueError):
-            TemporalMatching(((0, 1),)).validate(stream("BS"))
+            validate_matching(((0, 1),), stream("BS"))
 
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
-            TemporalMatching(((0, 2), (0, 3))).validate(stream("SSBB"))
+            validate_matching(((0, 2), (0, 3)), stream("SSBB"))
 
     def test_rejects_cut_violation(self):
         with pytest.raises(ValueError):
-            TemporalMatching(((0, 2), (1, 3))).validate(stream("SSBB"), 1)
+            validate_matching(((0, 2), (1, 3)), stream("SSBB"), 1)

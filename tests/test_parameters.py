@@ -16,7 +16,6 @@ from brokersim import (
     FixedPricePolicy,
     Pareto,
     StockLimitedPolicy,
-    TemporalMatching,
     Uniform,
     adaptive_dp_oracle,
     azuma_bound,
@@ -30,7 +29,6 @@ from brokersim import (
     inventory_terminal,
     is_alpha_balanced,
     monte_carlo,
-    order_stat_mean_quadrature,
     prophet_price,
     random_alpha_balanced,
     run_experiment,
@@ -41,8 +39,8 @@ from brokersim import (
 from brokersim.errors import require_int
 
 U = Uniform(0.0, 1.0)
-SB = AgentStream.from_text("SB")
-SSBB = AgentStream.from_text("SSBB")
+SB = AgentStream.from_pattern("SB")
+SSBB = AgentStream.from_pattern("SSBB")
 FIXED = FixedPricePolicy(0.5, 0.5)
 SOL = solve_fractional(U, U, 1)
 
@@ -68,12 +66,10 @@ ENTRY_POINTS = [
     ("adaptive_dp_oracle.stock_cap", lambda v: adaptive_dp_oracle(SSBB, U, U, price_grid=8, stock_cap=v), 1),
     ("fifo_match.capacity", lambda v: fifo_match(SSBB, v), 1),
     ("brute_force_max_matching.capacity", lambda v: brute_force_max_matching(SSBB, v), 1),
-    ("TemporalMatching.validate.capacity", lambda v: TemporalMatching(((0, 2),)).validate(SSBB, v), 1),
     # counts
     ("Uniform.max_order_stat_mean.m", lambda v: U.max_order_stat_mean(v), 1),
     ("Exponential.max_order_stat_mean.m", lambda v: Exponential(1.0).max_order_stat_mean(v), 1),
     ("Pareto.max_order_stat_mean.m", lambda v: Pareto(0.5).max_order_stat_mean(v), 1),
-    ("order_stat_mean_quadrature.m", lambda v: order_stat_mean_quadrature(U, v), 1),
     ("prophet_price.n", lambda v: prophet_price(U, v), 1),
     ("azuma_bound.m", lambda v: azuma_bound(v, 1), 2),
     ("harmonic.n", lambda v: harmonic(v), 0),

@@ -76,7 +76,7 @@ class TestPrices:
 
 def trace(text, policy, u_sellers, u_buyers):
     """run_trial on hand-picked draws, indexed by role rank."""
-    return run_trial(AgentStream.from_text(text), policy, U, U, uniforms=(np.array(u_sellers), np.array(u_buyers)))
+    return run_trial(AgentStream.from_pattern(text), policy, U, U, uniforms=(np.array(u_sellers), np.array(u_buyers)))
 
 
 class TestStateMachine:
@@ -153,10 +153,21 @@ class TestRegularityGate:
 
 
 class TestBuildPolicy:
-    def test_spec_round_trip(self):
-        for spec in ("median", "fixed:0.125,0.5", "quantile:2,2", "decay:0.1", "stock:2", "balanced:1"):
-            pol = build_policy(spec, U, U)
-            assert build_policy(pol.spec_string(), U, U).spec_string() == pol.spec_string()
+    def test_spec_matches_constructor(self):
+        cases = {
+            "median": lambda: MedianPolicy(U, U),
+            "fixed:0.125,0.5": lambda: FixedPricePolicy(0.125, 0.5),
+            "quantile:2,3": lambda: FixedQuantilePolicy(2.0, 3.0, U, U),
+            "decay:0.1": lambda: DecayingSellerPolicy(0.1, U, U),
+            "stock:2": lambda: StockLimitedPolicy(2, U, U),
+            "balanced:1": lambda: BalancedPolicy(1, U, U),
+        }
+        for spec, direct in cases.items():
+            built, want = build_policy(spec, U, U), direct()
+            assert type(built) is type(want), spec
+            assert built.p == want.p, spec
+            assert built.seller_prices(5).tolist() == want.seller_prices(5).tolist(), spec
+            assert built.stock_limit == want.stock_limit, spec
 
     @pytest.mark.parametrize(
         "bad",

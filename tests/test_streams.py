@@ -10,9 +10,9 @@ from brokersim import (
     expand,
     is_alpha_balanced,
     parse_pattern,
-    prefix_dominates,
     random_alpha_balanced,
 )
+from oracles import prefix_dominates
 
 
 class TestParsePattern:
@@ -68,15 +68,15 @@ class TestRenderRoundTrip:
 
 class TestAlphaBalance:
     def test_examples_alpha_1(self):
-        assert is_alpha_balanced(AgentStream.from_text("SBSSBSBB"), 1)
-        assert not is_alpha_balanced(AgentStream.from_text("SBBSSB"), 1)
+        assert is_alpha_balanced(AgentStream.from_pattern("SBSSBSBB"), 1)
+        assert not is_alpha_balanced(AgentStream.from_pattern("SBBSSB"), 1)
 
     def test_examples_alpha_2(self):
-        assert is_alpha_balanced(AgentStream.from_text("SSSBSB"), 2)
-        assert not is_alpha_balanced(AgentStream.from_text("SSBSBSSSB"), 2)
+        assert is_alpha_balanced(AgentStream.from_pattern("SSSBSB"), 2)
+        assert not is_alpha_balanced(AgentStream.from_pattern("SSBSBSSSB"), 2)
 
     def test_count_mismatch_fails(self):
-        assert not is_alpha_balanced(AgentStream.from_text("SSB"), 1)
+        assert not is_alpha_balanced(AgentStream.from_pattern("SSB"), 1)
 
     def test_blocks_are_balanced(self):
         for alpha in range(1, 5):
@@ -86,27 +86,27 @@ class TestAlphaBalance:
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
-            is_alpha_balanced(AgentStream.from_text("SB"), 0)
+            is_alpha_balanced(AgentStream.from_pattern("SB"), 0)
 
 
 class TestPrefixDominates:
     def test_basic(self):
-        assert prefix_dominates(AgentStream.from_text("SSBB"), AgentStream.from_text("SBSB"))
-        assert not prefix_dominates(AgentStream.from_text("SBSB"), AgentStream.from_text("SSBB"))
+        assert prefix_dominates(AgentStream.from_pattern("SSBB"), AgentStream.from_pattern("SBSB"))
+        assert not prefix_dominates(AgentStream.from_pattern("SBSB"), AgentStream.from_pattern("SSBB"))
 
     def test_incomparable_pair(self):
-        a = AgentStream.from_text("SSBBSB")
-        b = AgentStream.from_text("SBSSBB")
+        a = AgentStream.from_pattern("SSBBSB")
+        b = AgentStream.from_pattern("SBSSBB")
         assert not prefix_dominates(a, b)
         assert not prefix_dominates(b, a)
 
     def test_reflexive(self):
-        s = AgentStream.from_text("SBSB")
+        s = AgentStream.from_pattern("SBSB")
         assert prefix_dominates(s, s)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            prefix_dominates(AgentStream.from_text("SB"), AgentStream.from_text("SBB"))
+            prefix_dominates(AgentStream.from_pattern("SB"), AgentStream.from_pattern("SBB"))
 
     def test_block_pattern_is_bottom_element(self, rng):
         for alpha in (1, 2, 3):
@@ -157,21 +157,21 @@ class TestGenerators:
 
 
 class TestAgentStream:
-    def test_prefix_sellers(self):
-        s = AgentStream.from_text("SBSSB")
-        assert [s.prefix_sellers(t) for t in range(6)] == [0, 1, 1, 2, 3, 3]
+    def test_seller_prefix_counts(self):
+        s = AgentStream.from_pattern("SBSSB")
+        assert s.seller_prefix_counts().tolist() == [1, 1, 2, 3, 3]
 
-    def test_from_text_rejects_bad_chars(self):
+    def test_from_pattern_rejects_bad_chars(self):
         with pytest.raises(SpecParseError):
-            AgentStream.from_text("SBX")
+            AgentStream.from_pattern("SBX")
 
     def test_roles_are_read_only(self):
-        s = AgentStream.from_text("SB")
+        s = AgentStream.from_pattern("SB")
         with pytest.raises(ValueError):
             s.roles[0] = 1
 
     def test_equality_and_hash(self):
-        a = AgentStream.from_text("SBB")
+        a = AgentStream.from_pattern("SBB")
         b = AgentStream.from_pattern("S B^2")
         assert a == b
         assert hash(a) == hash(b)
