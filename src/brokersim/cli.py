@@ -161,9 +161,10 @@ def _cmd_solve_fractional(args) -> int:
     f_s = parse_distribution(args.seller_dist)
     f_b = parse_distribution(args.buyer_dist)
     sol = solve_fractional(f_s, f_b, args.alpha)
+    checks = certify_bounds(sol, f_s, f_b, m=1)
     certs = " ".join(
         f"{c.name}={'PASS' if c.passed else 'FAIL'}(slack={_fmt(c.slack)})"
-        for c in certify_bounds(sol, f_s, f_b, m=1)
+        for c in checks
     )
     print(
         f"alpha={args.alpha} p={_fmt(sol.p)} q={_fmt(sol.q)} "
@@ -171,7 +172,7 @@ def _cmd_solve_fractional(args) -> int:
         f"constraint_residual={_fmt(sol.constraint_residual)} "
         f"stationarity_residual={_fmt(sol.stationarity_residual)} {certs}"
     )
-    return 0
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _cmd_experiment(args) -> int:

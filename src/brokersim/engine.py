@@ -22,7 +22,12 @@ kernel's order, so a traced trial scores exactly as it does inside a run.
 
 Determinism: trial i draws from an independent substream derived from
 (seed, i), and estimates reduce in trial-index order with compensated
-summation, so results are identical across reruns and chunk sizes.
+summation, so results are identical across reruns and chunk sizes.  The
+uniforms of a slab of steps are filled tile by tile: each trial of a tile
+writes its next ``depth`` draws into one contiguous row, and the tile is then
+transposed into the trial's column of the step-major slab.  This layout
+changes only where a draw is stored, not which uniform a step gets: step t
+of trial i always consumes the t-th draw of substream i.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
 
 _TRIAL_CHUNK = 8192
 _STEP_SLAB = 2048
+_FILL_TILE = 64
 _OBJECTIVES = ("profit", "welfare")
 
 
@@ -210,7 +216,8 @@ class MCEstimate:
         n = samples.size
         mean = math.fsum(samples) / n if n else 0.0
         if n > 1:
-            var = math.fsum((s - mean) ** 2 for s in samples) / (n - 1)
+            d = samples - mean
+            var = math.fsum(d * d) / (n - 1)
             std_err = math.sqrt(var / n)
         else:
             std_err = 0.0
@@ -298,10 +305,16 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
         width = min(_TRIAL_CHUNK, trials - start)
         gens = [root.substream(start + i) for i in range(width)]
         slab = np.empty((min(_STEP_SLAB, len(stream)), width))
+        tile = np.empty((min(_FILL_TILE, width), slab.shape[0]))
 
         def draws(_start, depth):
-            for j, gen in enumerate(gens):
-                slab[:depth, j] = gen.random(depth)
+            # each trial fills a contiguous tile row; the tile is then
+            # transposed into its columns of the step-major slab
+            for j0 in range(0, width, tile.shape[0]):
+                w = min(tile.shape[0], width - j0)
+                for row, gen in zip(tile, gens[j0 : j0 + w]):
+                    gen.random(out=row[:depth])
+                slab[:depth, j0 : j0 + w] = tile[:w, :depth].T
             return slab[:depth]
 
         out[start : start + width] = _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective)[0]

@@ -4,8 +4,9 @@ These deliberately avoid the production code paths they are checking:
 order-statistic means integrate the survival function on the value domain
 (the library uses closed forms), the fractional oracle is a flat grid scan
 (the library refines with golden section), and kappa comes from a prefix
-flow bound (the library runs FIFO).  ``validate_matching`` and
-``prefix_dominates`` are reference checks on the library's outputs.
+flow bound (the library runs FIFO), and the variance sum squares one
+deviation at a time (the library squares a vector).  ``validate_matching``
+and ``prefix_dominates`` are reference checks on the library's outputs.
 """
 
 import math
@@ -117,3 +118,8 @@ def validate_matching(pairs, stream, capacity=None):
             open_pairs += delta
             if open_pairs > capacity:
                 raise ValueError(f"temporal cut {open_pairs} exceeds capacity {capacity} at position {t}")
+
+
+def variance_sum_by_generator(samples, mean):
+    """Sum of squared deviations, one compensated scalar term at a time."""
+    return math.fsum((s - mean) ** 2 for s in samples)

@@ -69,6 +69,15 @@ class TestSolveFractional:
         assert "p=0.75" in out and "q=0.25" in out and "per_buyer_value=0.125" in out
         assert "value-lower-bound=PASS" in out
 
+    def test_failed_certificate_exits_1(self, capsys):
+        # sellers above every buyer: the solver's value misses the certified lower bound
+        code, out, _ = run(
+            ["solve-fractional", "--alpha", "1", "--seller-dist", "uniform:2,3", "--buyer-dist", "uniform:0,0.5"],
+            capsys,
+        )
+        assert code == 1
+        assert "value-lower-bound=FAIL(slack=-0.004598493015)" in out
+
     def test_regularity_failure_is_usage_error(self, capsys):
         code, _, err = run(
             ["solve-fractional", "--alpha", "1", "--seller-dist", "uniform:0,1", "--buyer-dist", "pareto-eps:0.5"],

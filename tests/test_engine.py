@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from brokersim import (
     welfare,
 )
 from brokersim.engine import MCEstimate, TradeLog, _mc_samples
+from oracles import variance_sum_by_generator
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
@@ -188,6 +191,17 @@ class TestMonteCarlo:
         est = monte_carlo(stream("S^0"), FixedPricePolicy(0.5, 0.5), U, U, 10, 1)
         assert est.mean == 0.0 and est.std_err == 0.0
 
+    @pytest.mark.parametrize("dist", [U, Pareto(0.5), Pareto(0.1)])
+    def test_variance_sum_matches_scalar_fsum(self, dist):
+        # heavy tails give a wide dynamic range, where summation order matters;
+        # an uncompensated or pairwise sum differs in the last bit on some seed
+        for seed in range(3):
+            samples = dist.quantile(RandomStream(5).substream(seed).random(20_000))
+            est = MCEstimate.from_samples(samples)
+            n = samples.size
+            var = variance_sum_by_generator(samples, est.mean) / (n - 1)
+            assert est.std_err == math.sqrt(var / n)
+
     def test_estimate_fields(self):
         est = MCEstimate.from_samples(np.array([1.0, 2.0, 3.0, 4.0]))
         assert est.mean == pytest.approx(2.5)
@@ -216,7 +230,7 @@ class TestMonteCarlo:
     def test_vector_kernel_matches_scalar_reference(self, policy_factory, f_s, f_b, cap):
         policy = policy_factory()
         s = stream("(S^2 B)^7 S B^4")
-        trials = 40
+        trials = 130  # two full fill tiles of 64 trials and a ragged third
         root = RandomStream(909)
         for objective, score in (("profit", profit), ("welfare", welfare)):
             vec = _mc_samples(s, policy, f_s, f_b, trials, 909, cap, objective)
@@ -245,6 +259,10 @@ class TestMonteCarlo:
         assert np.isnan(baseline_logs[1].prices).any()  # the decline path is covered
         monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 7)
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 3)
+        monkeypatch.setattr(engine_mod, "_FILL_TILE", 3)
+        assert np.array_equal(_mc_samples(*args), baseline)
+        monkeypatch.setattr(engine_mod, "_STEP_SLAB", 5)  # 27 steps: a ragged last slab
+        monkeypatch.setattr(engine_mod, "_FILL_TILE", 4)  # 7 trials per chunk: a ragged last tile
         assert np.array_equal(_mc_samples(*args), baseline)
         for log, ref in zip(logs(), baseline_logs):
             for col in ("prices", "values", "traded", "stock_after"):
