@@ -96,7 +96,8 @@ class Distribution:
 
     def _check_u(self, u):
         arr = np.asarray(u, dtype=float)
-        if np.any((arr < 0.0) | (arr >= 1.0)):
+        # written as "not inside" so that NaN, which fails every comparison, is rejected
+        if not np.all((arr >= 0.0) & (arr < 1.0)):
             raise ValueError(f"quantile argument must lie in [0, 1), got {u!r}")
         return arr
 

@@ -20,18 +20,23 @@ One kernel, ``_resolve``, decides every trade, for Monte Carlo chunks and for
 ``run_trial`` (width 1, per-step trace).  Logs are scored in step order, the
 kernel's order, so a traced trial scores exactly as it does inside a run.
 
-Determinism: trial i draws from an independent substream derived from
-(seed, i), and estimates reduce in trial-index order with compensated
-summation, so results are identical across reruns and chunk sizes.  The
-uniforms of a slab of steps are filled tile by tile: each trial of a tile
-writes its next ``depth`` draws into one contiguous row, and the tile is then
-transposed into the trial's column of the step-major slab.  This layout
-changes only where a draw is stored, not which uniform a step gets: step t
-of trial i always consumes the t-th draw of substream i.
+Determinism: trial i draws from its own PCG64 generator, seeded by
+``SeedSequence(seed, spawn_key=(i,))``; the seed words of 1024 consecutive
+trials are computed in one vector pass that reproduces SeedSequence bit for
+bit.  Estimates reduce in trial-index order with compensated summation, so
+results are identical across reruns and chunk sizes.  The uniforms of a slab
+of steps are filled tile by tile: each trial of a tile writes its next
+``depth`` draws into one contiguous row, and the tile is then transposed into
+the trial's column of the step-major slab.  This layout changes only where a
+draw is stored, not which uniform a step gets: step t of trial i always
+consumes the t-th draw of substream i.  One slab of at most ``_STEP_SLAB``
+x ``_TRIAL_CHUNK`` float64 uniforms (32 MiB) serves a whole run, whatever
+the stream length and trial count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +59,10 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 8192
-_STEP_SLAB = 2048
-_FILL_TILE = 64
+_STEP_SLAB = 512
+_FILL_TILE = 128
+_SEED_BLOCK = 1024
+_MASK32 = 0xFFFFFFFF
 _OBJECTIVES = ("profit", "welfare")
 
 
@@ -63,14 +70,103 @@ _OBJECTIVES = ("profit", "welfare")
 class RandomStream:
     """Root of the per-trial substream derivation.
 
-    Trial i uses ``substream(i)``, seeded from (seed, i); identical inputs
-    reproduce identical draws on every platform.
+    Trial i uses ``substream(i)``: PCG64 seeded by
+    ``SeedSequence(seed, spawn_key=(i,))``, so identical inputs reproduce
+    identical draws on every platform.
     """
 
     seed: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
+
     def substream(self, index: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
+        """The draws of ``default_rng(SeedSequence(seed, spawn_key=(index,)))``,
+        with the seed words read from a precomputed block."""
+        block, k = divmod(require_int("index", index, 0), _SEED_BLOCK)
+        words = _seed_block(self.seed, block)[k]
+        return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as little-endian 32-bit words, as SeedSequence reads an int."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash: xor in a running constant, step it, multiply, fold."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of substreams ``block * _SEED_BLOCK`` onwards: one
+    read-only row of four uint64 per index.
+
+    For i = block * _SEED_BLOCK + k, row k equals
+    ``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``:
+    SeedSequence's entropy mix and ``generate_state`` run in uint32
+    arithmetic over the whole block at once.  Every index of a block has the
+    same number of words, because ``_SEED_BLOCK`` divides 2**32.
+    """
+    run = _uint32_words(seed)
+    run += [0] * (4 - len(run))  # a spawned SeedSequence pads its entropy to the pool size
+    words = run + _uint32_words(block * _SEED_BLOCK)
+    entropy = np.empty((len(words), _SEED_BLOCK), dtype=np.uint32)
+    entropy[:] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(run)] += np.arange(_SEED_BLOCK, dtype=np.uint32)
+
+    def mix(x, y):
+        out = 0xCA01F9DD * x - 0x4973F715 * y
+        return out ^ (out >> 16)
+
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    state = np.empty((_SEED_BLOCK, 8), dtype="<u4")
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    for i in range(8):
+        state[:, i] = hashmix(pool[i % 4])
+    seeds = state.view("<u8").astype(np.uint64)
+    seeds.flags.writeable = False
+    return seeds
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence that serves PCG64's one request: its four uint64 words.
+
+    Defined on first use, because ``numpy.random`` loads on first use, not
+    when brokersim is imported.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("SeedWords holds exactly four uint64 words")
+            return self.words
+
+    return SeedWords
 
 
 @dataclass
@@ -254,6 +350,9 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
     n = len(stream)
     trace = width == 1
     roles = stream.roles.tolist()
+    price, thresh = price.tolist(), thresh.tolist()
+    # stock never exceeds n_S, so a cap above it can never bind
+    capped = cap <= stream.n_S
     need_values = objective == "welfare"
     stock = np.zeros(width, dtype=np.int64)
     spend = np.zeros(width)
@@ -268,7 +367,9 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
             t = slab_start + k
             u = slab[k]
             if roles[t] == SELLER:
-                trade = (u < thresh[t]) & (stock < cap)
+                trade = u < thresh[t]
+                if capped:
+                    trade &= stock < cap
                 spend += trade * price[t]
                 stock += trade
                 if need_values:
@@ -301,11 +402,13 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
     price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     root = RandomStream(seed)
     out = np.empty(trials)
+    # one slab and one tile serve every chunk: the working set is bounded by
+    # _STEP_SLAB x _TRIAL_CHUNK uniforms, whatever the stream length
+    slab = np.empty((min(_STEP_SLAB, len(stream)), min(_TRIAL_CHUNK, trials)))
+    tile = np.empty((min(_FILL_TILE, slab.shape[1]), slab.shape[0]))
     for start in range(0, trials, _TRIAL_CHUNK):
         width = min(_TRIAL_CHUNK, trials - start)
         gens = [root.substream(start + i) for i in range(width)]
-        slab = np.empty((min(_STEP_SLAB, len(stream)), width))
-        tile = np.empty((min(_FILL_TILE, width), slab.shape[0]))
 
         def draws(_start, depth):
             # each trial fills a contiguous tile row; the tile is then
@@ -315,9 +418,10 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
                 for row, gen in zip(tile, gens[j0 : j0 + w]):
                     gen.random(out=row[:depth])
                 slab[:depth, j0 : j0 + w] = tile[:w, :depth].T
-            return slab[:depth]
+            return slab[:depth, :width]
 
         out[start : start + width] = _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective)[0]
+        del gens  # release this chunk's generators before the next chunk builds its own
     return out
 
 

@@ -80,6 +80,7 @@ class ExperimentConfig:
         if list(self.n_values) != sorted(self.n_values):
             raise ValueError(f"n_values must be sorted ascending, got {self.n_values}")
         require_int("trials", self.trials, 100)
+        require_int("seed", self.seed, 0)
         require_int("alpha", self.alpha, 1)
         require_int("stock_cap", self.stock_cap, 1)
 

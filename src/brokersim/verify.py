@@ -23,6 +23,7 @@ from .distributions import (
     top_k_sum_bound,
 )
 from .engine import RandomStream, monte_carlo
+from .errors import require_int
 from .fractional import certify_bounds, solve_fractional
 from .matching import brute_force_max_matching, fifo_match
 from .policies import MedianPolicy, StockLimitedPolicy
@@ -182,4 +183,4 @@ def run_suite(name: str, seed: int = 42, trials: int = 20000) -> list[CheckLine]
     """Run one invariant suite and return its check lines."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _RUNNERS[name](seed, trials)
+    return _RUNNERS[name](require_int("seed", seed, 0), trials)

@@ -58,6 +58,11 @@ class TestSimulate:
         code, _, err = run(argv, capsys)
         assert code == 2
 
+    def test_negative_seed_is_usage_error_naming_seed(self, capsys):
+        code, _, err = run(self.ARGS[:-1] + ["-1"], capsys)
+        assert code == 2
+        assert "seed must be >= 0" in err
+
 
 class TestSolveFractional:
     def test_prints_solution_and_certificates(self, capsys):

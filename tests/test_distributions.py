@@ -69,6 +69,13 @@ class TestQuantile:
         with pytest.raises(ValueError):
             Uniform(0, 1).quantile(bad)
 
+    @pytest.mark.parametrize("d", [Uniform(0, 1), Exponential(1.0), Pareto(0.5)], ids=["uniform", "exponential", "pareto"])
+    def test_nan_is_a_domain_error(self, d):
+        with pytest.raises(ValueError, match="must lie in"):
+            d.quantile(float("nan"))
+        with pytest.raises(ValueError, match="must lie in"):
+            d.quantile(np.array([0.25, np.nan, 0.75]))
+
     @pytest.mark.parametrize("d", [Uniform(0.25, 2.5), Exponential(0.7), Pareto(0.6)])
     def test_round_trips(self, d):
         u = np.linspace(0.01, 0.99, 97)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestRandomStream:
         a = RandomStream(7).substream(3).random(8)
         b = RandomStream(7).substream(4).random(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**90])
+    def test_substream_equals_seed_sequence_path(self, seed):
+        # block edges (1023/1024, 8191/8192) and the spawn key's change from one word to two at 2**32
+        for index in (0, 1023, 1024, 8191, 8192, 10**6, 2**32 - 1, 2**32, 2**40 + 1025):
+            expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+            assert np.array_equal(RandomStream(seed).substream(index).random(37), expected.random(37))
 
     def test_bulk_draw_equals_sequential(self):
         g1 = RandomStream(11).substream(0)
@@ -93,6 +101,10 @@ class TestRunTrial:
         assert log.traded.tolist() == [True, False, True]
         assert log.values[0] == pytest.approx(0.1)
         assert log.values[2] == pytest.approx(0.95)
+
+    def test_nan_uniform_is_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            run_trial(stream("SSB"), FixedPricePolicy(0.5, 0.5), U, U, uniforms=(np.array([0.1, np.nan]), np.array([0.9])))
 
     def test_logs_validate_on_random_configs(self, rng):
         for _ in range(20):
@@ -230,7 +242,7 @@ class TestMonteCarlo:
     def test_vector_kernel_matches_scalar_reference(self, policy_factory, f_s, f_b, cap):
         policy = policy_factory()
         s = stream("(S^2 B)^7 S B^4")
-        trials = 130  # two full fill tiles of 64 trials and a ragged third
+        trials = 2 * engine_mod._FILL_TILE + 2  # two full fill tiles and a ragged third
         root = RandomStream(909)
         for objective, score in (("profit", profit), ("welfare", welfare)):
             vec = _mc_samples(s, policy, f_s, f_b, trials, 909, cap, objective)
@@ -267,6 +279,17 @@ class TestMonteCarlo:
         for log, ref in zip(logs(), baseline_logs):
             for col in ("prices", "values", "traded", "stock_after"):
                 assert np.array_equal(getattr(log, col), getattr(ref, col), equal_nan=True)
+
+    def test_working_set_is_bounded_by_the_slab(self):
+        # 8197 trials: a full chunk and a ragged second; 1200 steps: more than one slab
+        s, policy = stream("S^600 B^600"), DecayingSellerPolicy(0.05, U, U)
+        tracemalloc.start()
+        try:
+            _mc_samples(s, policy, U, U, 8197, 1, None, "profit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
 
 class TestInventoryTerminal:

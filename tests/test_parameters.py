@@ -15,6 +15,7 @@ from brokersim import (
     Exponential,
     FixedPricePolicy,
     Pareto,
+    RandomStream,
     StockLimitedPolicy,
     Uniform,
     adaptive_dp_oracle,
@@ -32,6 +33,7 @@ from brokersim import (
     prophet_price,
     random_alpha_balanced,
     run_experiment,
+    run_suite,
     run_trial,
     solve_fractional,
     top_k_sum_bound,
@@ -88,6 +90,12 @@ ENTRY_POINTS = [
     ("monte_carlo.trials", lambda v: monte_carlo(SB, FIXED, U, U, v, 0), 2),
     ("inventory_terminal.trials", lambda v: inventory_terminal(1, 2, U, U, v, 0), 2),
     ("ExperimentConfig.trials", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), trials=v), 100),
+    # seeds and substream indices >= 0
+    ("RandomStream.seed", lambda v: RandomStream(v), 0),
+    ("RandomStream.substream.index", lambda v: RandomStream(0).substream(v), 0),
+    ("monte_carlo.seed", lambda v: monte_carlo(SB, FIXED, U, U, 10, v), 0),
+    ("ExperimentConfig.seed", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), seed=v), 0),
+    ("run_suite.seed", lambda v: run_suite("mhr", seed=v), 0),
 ]
 IDS = [name for name, _, _ in ENTRY_POINTS]
 
