@@ -32,6 +32,14 @@ draw is stored, not which uniform a step gets: step t of trial i always
 consumes the t-th draw of substream i.  One slab of at most ``_STEP_SLAB``
 x ``_TRIAL_CHUNK`` float64 uniforms (32 MiB) serves a whole run, whatever
 the stream length and trial count.
+
+Dead buyers are skipped: when a slab would start on a buyer while no trial of
+the chunk holds stock, it starts at the next seller instead, and the run ends
+if none is left.  Those buyers cannot trade, so stock, spend, income and
+welfare are exactly what stepping through them would give.  Their draws are
+still consumed: every generator is advanced past them
+(``bit_generator.advance``), so step t still reads the t-th draw, and a
+trace still values every step from its own draw.
 """
 
 from __future__ import annotations
@@ -343,7 +351,9 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
 
     ``draws(start, depth)`` returns the uniforms of steps start..start+depth-1
     as a (depth, width) array.  Steps run in slabs of ``_STEP_SLAB``, and
-    per-trial results do not depend on the slab size.  Returns the per-trial
+    per-trial results do not depend on the slab size.  Dead buyers are
+    skipped (see the module docstring), so ``draws`` is called with
+    increasing starts that may jump past steps.  Returns the per-trial
     objective ("profit", "welfare" or "leftover" stock) and, at width 1, the
     trial's per-step traded flags and stock levels (empty arrays otherwise).
     """
@@ -360,7 +370,15 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
     wsum = np.zeros(width)
     traded = np.zeros(n if trace else 0, dtype=bool)
     stock_after = np.zeros(n if trace else 0, dtype=np.int64)
-    for slab_start in range(0, n, _STEP_SLAB):
+    sellers = np.flatnonzero(stream.roles == SELLER)
+    slab_start = 0
+    while slab_start < n:
+        if roles[slab_start] != SELLER and not stock.any():
+            # no trial holds stock, so no buyer can trade before the next seller
+            nxt = int(np.searchsorted(sellers, slab_start))
+            if nxt == sellers.size:
+                break
+            slab_start = int(sellers[nxt])
         depth = min(_STEP_SLAB, n - slab_start)
         slab = draws(slab_start, depth)
         for k in range(depth):
@@ -383,6 +401,7 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
             if trace:
                 traded[t] = trade[0]
                 stock_after[t] = stock[0]
+        slab_start += depth
     if objective == "profit":
         out = income - spend
     elif objective == "welfare":
@@ -409,8 +428,15 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
     for start in range(0, trials, _TRIAL_CHUNK):
         width = min(_TRIAL_CHUNK, trials - start)
         gens = [root.substream(start + i) for i in range(width)]
+        drawn = 0  # steps of this chunk whose draws the generators have passed
 
-        def draws(_start, depth):
+        def draws(step, depth):
+            nonlocal drawn
+            if step > drawn:
+                # skipped steps still consume their draws: step t reads draw t
+                for gen in gens:
+                    gen.bit_generator.advance(step - drawn)
+            drawn = step + depth
             # each trial fills a contiguous tile row; the tile is then
             # transposed into its columns of the step-major slab
             for j0 in range(0, width, tile.shape[0]):

@@ -3,13 +3,16 @@
 These deliberately avoid the production code paths they are checking:
 order-statistic means integrate the survival function on the value domain
 (the library uses closed forms), the fractional oracle is a flat grid scan
-(the library refines with golden section), and kappa comes from a prefix
-flow bound (the library runs FIFO), and the variance sum squares one
-deviation at a time (the library squares a vector).  ``validate_matching``
+(the library refines with golden section), kappa comes from a prefix flow
+bound (the library runs FIFO), the variance sum squares one deviation at a
+time (the library squares a vector), and one trial is resolved by a plain
+loop over every step (the library's kernel runs trials side by side in
+slabs and skips buyers that cannot trade).  ``validate_matching``
 and ``prefix_dominates`` are reference checks on the library's outputs.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -123,3 +126,48 @@ def validate_matching(pairs, stream, capacity=None):
 def variance_sum_by_generator(samples, mean):
     """Sum of squared deviations, one compensated scalar term at a time."""
     return math.fsum((s - mean) ** 2 for s in samples)
+
+
+@dataclass(frozen=True)
+class StepByStepTrial:
+    profit: float
+    welfare: float
+    leftover: int
+    traded: list
+    stock_after: list
+
+
+def resolve_trial_by_steps(stream, policy, f_s, f_b, u, stock_cap=None):
+    """Resolve one trial one step at a time from its uniforms, ``u[t]`` for
+    step t, with no skipping.
+
+    A seller with ordinal j trades iff u < F_S(q_j) and stock is below the
+    tighter of the policy's stock limit and ``stock_cap``; a buyer trades iff
+    u >= F_B(p) and stock is positive.  A value is ``quantile(u)``.  Sums
+    run in step order.
+    """
+    caps = [c for c in (policy.stock_limit, stock_cap) if c is not None]
+    cap = min(caps, default=math.inf)
+    q = policy.seller_prices(stream.n_S).tolist()
+    p = float(policy.p)
+    stock, j = 0, 0
+    spend = income = welfare = 0.0
+    traded, stock_after = [], []
+    for role, x in zip(stream.roles.tolist(), np.asarray(u, dtype=float).tolist()):
+        if role == SELLER:
+            trade = x < f_s.cdf(q[j]) and stock < cap
+            if trade:
+                stock += 1
+                spend += q[j]
+            else:
+                welfare += f_s.quantile(x)
+            j += 1
+        else:
+            trade = x >= f_b.cdf(p) and stock > 0
+            if trade:
+                stock -= 1
+                income += p
+                welfare += f_b.quantile(x)
+        traded.append(trade)
+        stock_after.append(stock)
+    return StepByStepTrial(income - spend, welfare, stock, traded, stock_after)

@@ -1,7 +1,18 @@
 import pytest
 
-from brokersim import ExperimentConfig, emit_csv, run_experiment
+from brokersim import (
+    SELLER,
+    AgentStream,
+    Exponential,
+    ExperimentConfig,
+    RandomStream,
+    Uniform,
+    build_policy,
+    emit_csv,
+    run_experiment,
+)
 from brokersim.cli import main, parse_config
+from oracles import resolve_trial_by_steps
 
 
 def run(argv, capsys):
@@ -44,6 +55,28 @@ class TestSimulate:
         assert lines[0] == "t,role,price,value,traded,stock"
         assert len(lines) == 21
         assert lines[1].split(",")[1] == "S"
+
+    def test_trace_over_a_dead_stretch(self, capsys, tmp_path):
+        # buyers after the first stock-out are skipped by the kernel; the trace still lists
+        # them, untraded at zero stock, each valued from its own draw
+        text, trace = "S^64 B^2048 S^8 B^600", tmp_path / "trace.csv"
+        argv = ["simulate", "--stream", text, "--policy", "decay:0.05", "--seller-dist", "uniform:0,1",
+                "--buyer-dist", "exp:1", "--trials", "2", "--seed", "6", "--trace", str(trace)]
+        assert run(argv, capsys)[0] == 0
+        s, f_s, f_b = AgentStream.from_pattern(text), Uniform(0.0, 1.0), Exponential(1.0)
+        policy = build_policy("decay:0.05", f_s, f_b)
+        u = RandomStream(6).substream(0).random(len(s))
+        ref = resolve_trial_by_steps(s, policy, f_s, f_b, u)
+        q = iter(policy.seller_prices(s.n_S).tolist())
+        lines = ["t,role,price,value,traded,stock"]
+        for t, (role, x) in enumerate(zip(s.roles.tolist(), u.tolist())):
+            price, value = (next(q), f_s.quantile(x)) if role == SELLER else (policy.p, f_b.quantile(x))
+            lines.append(
+                f"{t},{'S' if role == SELLER else 'B'},{price:.17e},{value:.17e},"
+                f"{int(ref.traded[t])},{ref.stock_after[t]}"
+            )
+        assert trace.read_text() == "\n".join(lines) + "\n"
+        assert ref.stock_after[1000] == 0  # the trace does cover a dead stretch
 
     def test_bad_stream_is_usage_error(self, capsys):
         argv = list(self.ARGS)

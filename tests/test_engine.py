@@ -6,6 +6,7 @@ import pytest
 
 import brokersim.engine as engine_mod
 from brokersim import (
+    BUYER,
     AgentStream,
     BalancedPolicy,
     Exponential,
@@ -24,10 +25,13 @@ from brokersim import (
     welfare,
 )
 from brokersim.engine import MCEstimate, TradeLog, _mc_samples
-from oracles import variance_sum_by_generator
+from oracles import resolve_trial_by_steps, variance_sum_by_generator
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
+SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**90]
+# block edges (1023/1024, 8191/8192) and the spawn key's change from one word to two at 2**32
+INDICES = (0, 1023, 1024, 8191, 8192, 10**6, 2**32 - 1, 2**32, 2**40 + 1025)
 
 
 def stream(text):
@@ -45,12 +49,20 @@ class TestRandomStream:
         b = RandomStream(7).substream(4).random(8)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**90])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_substream_equals_seed_sequence_path(self, seed):
-        # block edges (1023/1024, 8191/8192) and the spawn key's change from one word to two at 2**32
-        for index in (0, 1023, 1024, 8191, 8192, 10**6, 2**32 - 1, 2**32, 2**40 + 1025):
+        for index in INDICES:
             expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
             assert np.array_equal(RandomStream(seed).substream(index).random(37), expected.random(37))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_advance_then_draw_equals_drawing_past(self, seed):
+        # the kernel advances past the draws of skipped steps; they must be the draws it would have read
+        for index in INDICES:
+            for k, m in ((1, 9), (511, 37), (10**6, 5)):
+                gen = RandomStream(seed).substream(index)
+                gen.bit_generator.advance(k)
+                assert np.array_equal(gen.random(m), RandomStream(seed).substream(index).random(k + m)[k:])
 
     def test_bulk_draw_equals_sequential(self):
         g1 = RandomStream(11).substream(0)
@@ -290,6 +302,79 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 2**20
+
+
+class TestDeadBuyerSkip:
+    """A slab that would start on a buyer while no trial holds stock starts at
+    the next seller instead; the skipped steps still consume their draws."""
+
+    STREAMS = ["S B^40 S^3 B^30 S B^5", "B^9 S^2 B^25 S^4 B^11", "S^6 B^30 S B^12 S^2", "B^20"]
+    CASES = [
+        (lambda: FixedPricePolicy(0.5, 0.5), U, U, None),
+        (lambda: MedianPolicy(U, E), U, E, 2),  # a cap below n_S
+        (lambda: MedianPolicy(E, U), E, U, 40),  # a cap above n_S
+        (lambda: StockLimitedPolicy(2, U, U), U, U, None),
+        (lambda: DecayingSellerPolicy(0.1, U, U), U, U, 3),
+        (lambda: MedianPolicy(Pareto(0.5), Pareto(0.5)), Pareto(0.5), Pareto(0.5), None),
+    ]
+
+    @staticmethod
+    def spy_on_draws(monkeypatch):
+        """Record the (start, depth) of every draws call the kernel makes."""
+        calls, resolve = [], engine_mod._resolve
+
+        def recording(*args):
+            *head, draws, objective = args
+
+            def draws_recorded(start, depth):
+                calls.append((start, depth))
+                return draws(start, depth)
+
+            return resolve(*head, draws_recorded, objective)
+
+        monkeypatch.setattr(engine_mod, "_resolve", recording)
+        return calls
+
+    @pytest.mark.parametrize("text", STREAMS)
+    @pytest.mark.parametrize("policy_factory,f_s,f_b,cap", CASES)
+    def test_kernel_equals_step_by_step_oracle(self, monkeypatch, text, policy_factory, f_s, f_b, cap):
+        monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
+        monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 5)
+        s, policy, trials = stream(text), policy_factory(), 12  # three chunks, the last ragged
+        root = RandomStream(2718)
+        ref = [resolve_trial_by_steps(s, policy, f_s, f_b, root.substream(i).random(len(s)), cap) for i in range(trials)]
+        for objective in ("profit", "welfare", "leftover"):
+            got = _mc_samples(s, policy, f_s, f_b, trials, 2718, cap, objective)
+            assert np.array_equal(got, [getattr(r, objective) for r in ref]), objective
+
+    def test_a_chunk_jumps_to_the_next_seller(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
+        calls = self.spy_on_draws(monkeypatch)
+        s = stream("S^4 B^400 S B^3")
+        _mc_samples(s, FixedPricePolicy(1.0, 0.0), U, U, 5, 1, None, "profit")
+        # every seller buys and every buyer pays, so stock is gone after step 7
+        assert calls == [(0, 4), (4, 4), (404, 4)]
+
+    @pytest.mark.parametrize("text", ["S B^40 S^3 B^30 S B^5", "S^64 B^2048 S^8 B^600"])
+    def test_trace_over_skipped_steps(self, monkeypatch, text):
+        monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
+        calls = self.spy_on_draws(monkeypatch)
+        s, policy = stream(text), DecayingSellerPolicy(0.05, U, E)
+        log = run_trial(s, policy, U, E, RandomStream(31).substream(2))
+        u = RandomStream(31).substream(2).random(len(s))
+        ref = resolve_trial_by_steps(s, policy, U, E, u)
+        assert np.array_equal(log.traded, ref.traded)
+        assert np.array_equal(log.stock_after, ref.stock_after)
+        read = np.zeros(len(s), dtype=bool)
+        for start, depth in calls:
+            read[start : start + depth] = True
+        skipped = np.flatnonzero(~read)
+        assert skipped.size > len(s) // 2
+        assert np.all(s.roles[skipped] == BUYER)
+        assert not log.traded[skipped].any()
+        assert not log.stock_after[skipped].any()
+        values = [E.quantile(x) if role == BUYER else U.quantile(x) for role, x in zip(s.roles.tolist(), u.tolist())]
+        assert np.array_equal(log.values, values)
 
 
 class TestInventoryTerminal:
