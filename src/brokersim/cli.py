@@ -141,8 +141,11 @@ def _cmd_simulate(args) -> int:
         f"trials={est.trials} seed={args.seed}"
     )
     if args.trace:
+        # trial 0 of the run above: its draws, handed to run_trial by role rank
+        u = RandomStream(args.seed).trial_uniforms(0, len(stream))
+        seller = stream.roles == SELLER
         log = run_trial(
-            stream, policy, f_s, f_b, RandomStream(args.seed).substream(0),
+            stream, policy, f_s, f_b, uniforms=(u[seller], u[~seller]),
             stock_cap=args.stock_cap,
         )
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:

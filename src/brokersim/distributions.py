@@ -76,6 +76,11 @@ class Distribution:
         """Generalized inverse cdf; defined for ``u`` in ``[0, 1)``."""
         raise NotImplementedError
 
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """``quantile`` of an array already known to lie in ``[0, 1)``,
+        without the domain check."""
+        raise NotImplementedError
+
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
@@ -124,8 +129,10 @@ class Uniform(Distribution):
 
     def quantile(self, u):
         arr = self._check_u(u)
-        out = self.lo + arr * (self.hi - self.lo)
-        return _scalar_or_array(out, arr.ndim == 0)
+        return _scalar_or_array(self.inverse_cdf(arr), arr.ndim == 0)
+
+    def inverse_cdf(self, u):
+        return self.lo + u * (self.hi - self.lo)
 
     def support(self):
         return (self.lo, self.hi)
@@ -169,8 +176,10 @@ class Exponential(Distribution):
 
     def quantile(self, u):
         arr = self._check_u(u)
-        out = -np.log1p(-arr) / self.rate
-        return _scalar_or_array(out, arr.ndim == 0)
+        return _scalar_or_array(self.inverse_cdf(arr), arr.ndim == 0)
+
+    def inverse_cdf(self, u):
+        return -np.log1p(-u) / self.rate
 
     def support(self):
         return (0.0, math.inf)
@@ -223,8 +232,10 @@ class Pareto(Distribution):
 
     def quantile(self, u):
         arr = self._check_u(u)
-        out = np.power(1.0 - arr, -(1.0 - self.eps))
-        return _scalar_or_array(out, arr.ndim == 0)
+        return _scalar_or_array(self.inverse_cdf(arr), arr.ndim == 0)
+
+    def inverse_cdf(self, u):
+        return np.power(1.0 - u, -(1.0 - self.eps))
 
     def support(self):
         return (1.0, math.inf)

@@ -20,31 +20,33 @@ One kernel, ``_resolve``, decides every trade, for Monte Carlo chunks and for
 ``run_trial`` (width 1, per-step trace).  Logs are scored in step order, the
 kernel's order, so a traced trial scores exactly as it does inside a run.
 
-Determinism: trial i draws from its own PCG64 generator, seeded by
-``SeedSequence(seed, spawn_key=(i,))``; the seed words of 1024 consecutive
-trials are computed in one vector pass that reproduces SeedSequence bit for
-bit.  Estimates reduce in trial-index order with compensated summation, so
-results are identical across reruns and chunk sizes.  The uniforms of a slab
-of steps are filled tile by tile: each trial of a tile writes its next
-``depth`` draws into one contiguous row, and the tile is then transposed into
-the trial's column of the step-major slab.  This layout changes only where a
-draw is stored, not which uniform a step gets: step t of trial i always
-consumes the t-th draw of substream i.  One slab of at most ``_STEP_SLAB``
-x ``_TRIAL_CHUNK`` float64 uniforms (32 MiB) serves a whole run, whatever
-the stream length and trial count.
+Determinism: trials form lane blocks of ``_LANES`` (128).  Block b draws
+from one PCG64 generator, ``RandomStream(seed).substream(b)``, seeded by
+``SeedSequence(seed, spawn_key=(b,))``, in step-major order: step t of trial
+i = 128 b + k consumes draw 128 t + k of that generator.  So trial i's
+uniforms are column k of ``substream(b).random((n, 128))``, and
+``RandomStream(seed).trial_uniforms(i, n)`` returns them.  The slab of
+uniforms is block-major, (blocks, steps, 128): each block fills its own
+contiguous slice with one ``random(out=...)`` call, and step k of the slab
+is ``slab[..., k, :]``.  A chunk is made of whole blocks and the trial count
+rounds up to whole blocks (extra lanes are discarded), so every sample is
+independent of the chunk size, the slab size and the number of trials.
+Estimates reduce in trial-index order with compensated summation, so
+results are identical across reruns.  One slab of at most ``_STEP_SLAB`` x
+``_TRIAL_CHUNK`` float64 uniforms (32 MiB) serves a whole run, whatever the
+stream length and trial count.
 
 Dead buyers are skipped: when a slab would start on a buyer while no trial of
 the chunk holds stock, it starts at the next seller instead, and the run ends
 if none is left.  Those buyers cannot trade, so stock, spend, income and
 welfare are exactly what stepping through them would give.  Their draws are
-still consumed: every generator is advanced past them
-(``bit_generator.advance``), so step t still reads the t-th draw, and a
-trace still values every step from its own draw.
+still consumed: a gap of g steps advances each block's generator by 128 g
+(``bit_generator.advance``), so step t still reads its own draw, and a trace
+still values every step from its own draw.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -68,19 +70,17 @@ __all__ = [
 
 _TRIAL_CHUNK = 8192
 _STEP_SLAB = 512
-_FILL_TILE = 128
-_SEED_BLOCK = 1024
-_MASK32 = 0xFFFFFFFF
+_LANES = 128
 _OBJECTIVES = ("profit", "welfare")
 
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Root of the per-trial substream derivation.
+    """Root of the lane-block substream derivation.
 
-    Trial i uses ``substream(i)``: PCG64 seeded by
-    ``SeedSequence(seed, spawn_key=(i,))``, so identical inputs reproduce
-    identical draws on every platform.
+    Trials form blocks of ``_LANES``; block b draws from ``substream(b)``,
+    PCG64 seeded by ``SeedSequence(seed, spawn_key=(b,))``, so identical
+    inputs reproduce identical draws on every platform.
     """
 
     seed: int
@@ -89,92 +89,27 @@ class RandomStream:
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
 
     def substream(self, index: int) -> np.random.Generator:
-        """The draws of ``default_rng(SeedSequence(seed, spawn_key=(index,)))``,
-        with the seed words read from a precomputed block."""
-        block, k = divmod(require_int("index", index, 0), _SEED_BLOCK)
-        words = _seed_block(self.seed, block)[k]
-        return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+        """The generator of lane block ``index``."""
+        index = require_int("index", index, 0)
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
 
+    def trial_uniforms(self, index: int, n: int) -> np.ndarray:
+        """The uniforms of steps 0..n-1 of trial ``index``, in step order.
 
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as little-endian 32-bit words, as SeedSequence reads an int."""
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash: xor in a running constant, step it, multiply, fold."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-@functools.lru_cache(maxsize=8)
-def _seed_block(seed: int, block: int) -> np.ndarray:
-    """PCG64 seed words of substreams ``block * _SEED_BLOCK`` onwards: one
-    read-only row of four uint64 per index.
-
-    For i = block * _SEED_BLOCK + k, row k equals
-    ``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``:
-    SeedSequence's entropy mix and ``generate_state`` run in uint32
-    arithmetic over the whole block at once.  Every index of a block has the
-    same number of words, because ``_SEED_BLOCK`` divides 2**32.
-    """
-    run = _uint32_words(seed)
-    run += [0] * (4 - len(run))  # a spawned SeedSequence pads its entropy to the pool size
-    words = run + _uint32_words(block * _SEED_BLOCK)
-    entropy = np.empty((len(words), _SEED_BLOCK), dtype=np.uint32)
-    entropy[:] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(run)] += np.arange(_SEED_BLOCK, dtype=np.uint32)
-
-    def mix(x, y):
-        out = 0xCA01F9DD * x - 0x4973F715 * y
-        return out ^ (out >> 16)
-
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(e) for e in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(e))
-    state = np.empty((_SEED_BLOCK, 8), dtype="<u4")
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    for i in range(8):
-        state[:, i] = hashmix(pool[i % 4])
-    seeds = state.view("<u8").astype(np.uint64)
-    seeds.flags.writeable = False
-    return seeds
-
-
-@functools.cache
-def _seed_words_type() -> type:
-    """A seed sequence that serves PCG64's one request: its four uint64 words.
-
-    Defined on first use, because ``numpy.random`` loads on first use, not
-    when brokersim is imported.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("SeedWords holds exactly four uint64 words")
-            return self.words
-
-    return SeedWords
+        Step t of trial i = _LANES * b + k reads draw _LANES * t + k of
+        ``substream(b)``; the block's draws are generated slab by slab, so
+        memory stays bounded by ``_STEP_SLAB`` x ``_LANES`` whatever ``n``.
+        """
+        block, lane = divmod(require_int("index", index, 0), _LANES)
+        n = require_int("n", n, 0)
+        gen = self.substream(block)
+        out = np.empty(n)
+        buf = np.empty((min(_STEP_SLAB, n), _LANES))
+        for start in range(0, n, _STEP_SLAB):
+            depth = min(_STEP_SLAB, n - start)
+            gen.random(out=buf[:depth])
+            out[start : start + depth] = buf[:depth, lane]
+        return out
 
 
 @dataclass
@@ -274,8 +209,9 @@ def run_trial(
     from explicit ``uniforms`` = (seller_uniforms, buyer_uniforms) indexed
     by role rank.  The explicit form is the coupling device: running two
     streams with the same arrays hands the j-th seller (and j-th buyer) of
-    both streams the same draw.  Prices are NaN where the policy's own
-    stock limit declined a seller.
+    both streams the same draw.  It also replays trial i of a Monte Carlo
+    run: split ``RandomStream(seed).trial_uniforms(i, n)`` by role.  Prices
+    are NaN where the policy's own stock limit declined a seller.
     """
     if (rng is None) == (uniforms is None):
         raise ValueError("provide exactly one of rng or uniforms")
@@ -294,7 +230,7 @@ def run_trial(
     def draws(start, depth):
         return row[start : start + depth, None]
 
-    _, traded, stock_after = _resolve(stream, price, thresh, cap, f_s, f_b, 1, draws, "leftover")
+    _, traded, stock_after = _resolve(stream, price, thresh, cap, f_s, f_b, (1,), draws, "leftover")
 
     values = np.empty(len(stream))
     values[seller] = f_s.quantile(row[seller])
@@ -346,28 +282,30 @@ def _price_schedule(policy, stream, f_s, f_b, stock_cap):
     return price, thresh, min(caps, default=len(stream) + 1)
 
 
-def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
-    """Resolve every step of ``width`` trials: the one place trades are decided.
+def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
+    """Resolve every step of an array of trials: the one place trades are decided.
 
-    ``draws(start, depth)`` returns the uniforms of steps start..start+depth-1
-    as a (depth, width) array.  Steps run in slabs of ``_STEP_SLAB``, and
-    per-trial results do not depend on the slab size.  Dead buyers are
-    skipped (see the module docstring), so ``draws`` is called with
-    increasing starts that may jump past steps.  Returns the per-trial
-    objective ("profit", "welfare" or "leftover" stock) and, at width 1, the
-    trial's per-step traded flags and stock levels (empty arrays otherwise).
+    ``shape`` is the trials' shape; ``draws(start, depth)`` returns the
+    uniforms of steps start..start+depth-1 as an array whose axis -2 is the
+    step, so step k of a slab is ``slab[..., k, :]``.  Steps run in slabs of
+    ``_STEP_SLAB``, and per-trial results do not depend on the slab size.
+    Dead buyers are skipped (see the module docstring), so ``draws`` is
+    called with increasing starts that may jump past steps.  Returns the
+    per-trial objective ("profit", "welfare" or "leftover" stock) and, for a
+    single trial (shape ``(1,)``), its per-step traded flags and stock levels
+    (empty arrays otherwise).
     """
     n = len(stream)
-    trace = width == 1
+    trace = shape == (1,)
     roles = stream.roles.tolist()
     price, thresh = price.tolist(), thresh.tolist()
     # stock never exceeds n_S, so a cap above it can never bind
     capped = cap <= stream.n_S
     need_values = objective == "welfare"
-    stock = np.zeros(width, dtype=np.int64)
-    spend = np.zeros(width)
-    income = np.zeros(width)
-    wsum = np.zeros(width)
+    stock = np.zeros(shape, dtype=np.int64)
+    spend = np.zeros(shape)
+    income = np.zeros(shape)
+    wsum = np.zeros(shape)
     traded = np.zeros(n if trace else 0, dtype=bool)
     stock_after = np.zeros(n if trace else 0, dtype=np.int64)
     sellers = np.flatnonzero(stream.roles == SELLER)
@@ -383,7 +321,7 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
         slab = draws(slab_start, depth)
         for k in range(depth):
             t = slab_start + k
-            u = slab[k]
+            u = slab[..., k, :]
             if roles[t] == SELLER:
                 trade = u < thresh[t]
                 if capped:
@@ -391,13 +329,13 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
                 spend += trade * price[t]
                 stock += trade
                 if need_values:
-                    wsum += ~trade * f_s.quantile(u)
+                    wsum += ~trade * f_s.inverse_cdf(u)
             else:
                 trade = (u >= thresh[t]) & (stock > 0)
                 income += trade * price[t]
                 stock -= trade
                 if need_values:
-                    wsum += trade * f_b.quantile(u)
+                    wsum += trade * f_b.inverse_cdf(u)
             if trace:
                 traded[t] = trade[0]
                 stock_after[t] = stock[0]
@@ -412,43 +350,41 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective):
 
 
 def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
-    """Per-trial objective values, vectorized across chunks of trials.
+    """Per-trial objective values, vectorized across chunks of lane blocks.
 
-    Trial i draws from ``RandomStream(seed).substream(i)``; per-trial results
-    are independent of the chunk and slab sizes.
+    Trial i = _LANES * b + k reads, at step t, draw _LANES * t + k of
+    ``RandomStream(seed).substream(b)``.  The trial count rounds up to whole
+    blocks and the extra lanes are discarded, so per-trial results are
+    independent of the chunk and slab sizes and of the trial count.
     """
     trials = require_int("trials", trials, 2)
     price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     root = RandomStream(seed)
-    out = np.empty(trials)
-    # one slab and one tile serve every chunk: the working set is bounded by
+    n_blocks = -(-trials // _LANES)
+    chunk = max(1, _TRIAL_CHUNK // _LANES)
+    out = np.empty((n_blocks, _LANES))
+    # one block-major slab serves every chunk: the working set is bounded by
     # _STEP_SLAB x _TRIAL_CHUNK uniforms, whatever the stream length
-    slab = np.empty((min(_STEP_SLAB, len(stream)), min(_TRIAL_CHUNK, trials)))
-    tile = np.empty((min(_FILL_TILE, slab.shape[1]), slab.shape[0]))
-    for start in range(0, trials, _TRIAL_CHUNK):
-        width = min(_TRIAL_CHUNK, trials - start)
-        gens = [root.substream(start + i) for i in range(width)]
+    slab = np.empty((min(chunk, n_blocks), min(_STEP_SLAB, len(stream)), _LANES))
+    for b0 in range(0, n_blocks, chunk):
+        gens = [root.substream(b) for b in range(b0, min(b0 + chunk, n_blocks))]
         drawn = 0  # steps of this chunk whose draws the generators have passed
 
         def draws(step, depth):
             nonlocal drawn
             if step > drawn:
-                # skipped steps still consume their draws: step t reads draw t
+                # skipped steps still consume their draws: step t reads row t of its block
                 for gen in gens:
-                    gen.bit_generator.advance(step - drawn)
+                    gen.bit_generator.advance((step - drawn) * _LANES)
             drawn = step + depth
-            # each trial fills a contiguous tile row; the tile is then
-            # transposed into its columns of the step-major slab
-            for j0 in range(0, width, tile.shape[0]):
-                w = min(tile.shape[0], width - j0)
-                for row, gen in zip(tile, gens[j0 : j0 + w]):
-                    gen.random(out=row[:depth])
-                slab[:depth, j0 : j0 + w] = tile[:w, :depth].T
-            return slab[:depth, :width]
+            for block, gen in zip(slab, gens):
+                gen.random(out=block[:depth])
+            return slab[: len(gens), :depth]
 
-        out[start : start + width] = _resolve(stream, price, thresh, cap, f_s, f_b, width, draws, objective)[0]
-        del gens  # release this chunk's generators before the next chunk builds its own
-    return out
+        out[b0 : b0 + len(gens)] = _resolve(
+            stream, price, thresh, cap, f_s, f_b, (len(gens), _LANES), draws, objective
+        )[0]
+    return out.reshape(-1)[:trials]
 
 
 def monte_carlo(

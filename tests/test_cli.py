@@ -65,7 +65,7 @@ class TestSimulate:
         assert run(argv, capsys)[0] == 0
         s, f_s, f_b = AgentStream.from_pattern(text), Uniform(0.0, 1.0), Exponential(1.0)
         policy = build_policy("decay:0.05", f_s, f_b)
-        u = RandomStream(6).substream(0).random(len(s))
+        u = RandomStream(6).trial_uniforms(0, len(s))
         ref = resolve_trial_by_steps(s, policy, f_s, f_b, u)
         q = iter(policy.seller_prices(s.n_S).tolist())
         lines = ["t,role,price,value,traded,stock"]

@@ -7,6 +7,7 @@ import pytest
 import brokersim.engine as engine_mod
 from brokersim import (
     BUYER,
+    SELLER,
     AgentStream,
     BalancedPolicy,
     Exponential,
@@ -30,12 +31,19 @@ from oracles import resolve_trial_by_steps, variance_sum_by_generator
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
 SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**90]
-# block edges (1023/1024, 8191/8192) and the spawn key's change from one word to two at 2**32
+# includes 2**32 - 1 and 2**32, where the spawn key grows from one word to two
 INDICES = (0, 1023, 1024, 8191, 8192, 10**6, 2**32 - 1, 2**32, 2**40 + 1025)
 
 
 def stream(text):
     return AgentStream.from_pattern(text)
+
+
+def trial_draws(seed, i, s):
+    """Trial i's uniforms split by role rank, as ``run_trial(uniforms=...)`` takes them."""
+    u = RandomStream(seed).trial_uniforms(i, len(s))
+    seller = s.roles == SELLER
+    return u[seller], u[~seller]
 
 
 class TestRandomStream:
@@ -63,6 +71,15 @@ class TestRandomStream:
                 gen = RandomStream(seed).substream(index)
                 gen.bit_generator.advance(k)
                 assert np.array_equal(gen.random(m), RandomStream(seed).substream(index).random(k + m)[k:])
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 5])
+    def test_trial_uniforms_are_a_column_of_the_block(self, seed):
+        # 1100 steps: more than two slabs of the accessor, the last ragged
+        for index in (0, 1, 127, 128, 300, 2**32 * 128 + 77):
+            block, lane = divmod(index, 128)
+            expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,))).random((1100, 128))
+            assert np.array_equal(RandomStream(seed).trial_uniforms(index, 1100), expected[:, lane])
+        assert RandomStream(seed).trial_uniforms(5, 0).size == 0
 
     def test_bulk_draw_equals_sequential(self):
         g1 = RandomStream(11).substream(0)
@@ -254,12 +271,14 @@ class TestMonteCarlo:
     def test_vector_kernel_matches_scalar_reference(self, policy_factory, f_s, f_b, cap):
         policy = policy_factory()
         s = stream("(S^2 B)^7 S B^4")
-        trials = 2 * engine_mod._FILL_TILE + 2  # two full fill tiles and a ragged third
-        root = RandomStream(909)
+        trials = 2 * engine_mod._LANES + 2  # two full lane blocks and a ragged third
         for objective, score in (("profit", profit), ("welfare", welfare)):
             vec = _mc_samples(s, policy, f_s, f_b, trials, 909, cap, objective)
             scalar = np.array(
-                [score(run_trial(s, policy, f_s, f_b, root.substream(i), stock_cap=cap)) for i in range(trials)]
+                [
+                    score(run_trial(s, policy, f_s, f_b, uniforms=trial_draws(909, i, s), stock_cap=cap))
+                    for i in range(trials)
+                ]
             )
             assert np.array_equal(vec, scalar)
 
@@ -269,7 +288,8 @@ class TestMonteCarlo:
         assert a == b
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        args = (stream("(S^2 B)^9"), MedianPolicy(U, U), U, U, 101, 77, None, "profit")
+        # 301 trials: two full lane blocks and a ragged third
+        args = (stream("(S^2 B)^9"), MedianPolicy(U, U), U, U, 301, 77, None, "profit")
 
         def logs():
             s, pol = stream("S^5 (S^2 B)^9"), StockLimitedPolicy(1, U, U)
@@ -281,16 +301,23 @@ class TestMonteCarlo:
 
         baseline, baseline_logs = _mc_samples(*args), logs()
         assert np.isnan(baseline_logs[1].prices).any()  # the decline path is covered
-        monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 7)
+        monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 7)  # below one block: one block per chunk
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 3)
-        monkeypatch.setattr(engine_mod, "_FILL_TILE", 3)
         assert np.array_equal(_mc_samples(*args), baseline)
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 5)  # 27 steps: a ragged last slab
-        monkeypatch.setattr(engine_mod, "_FILL_TILE", 4)  # 7 trials per chunk: a ragged last tile
+        monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 300)  # two blocks per chunk: a ragged last chunk
         assert np.array_equal(_mc_samples(*args), baseline)
         for log, ref in zip(logs(), baseline_logs):
             for col in ("prices", "values", "traded", "stock_after"):
                 assert np.array_equal(getattr(log, col), getattr(ref, col), equal_nan=True)
+
+    @pytest.mark.parametrize("k", [2, 127, 129, 300])
+    def test_a_run_begins_with_the_samples_of_a_shorter_run(self, k):
+        # the trial count rounds up to whole blocks; the extra lanes must not shift any sample
+        s, policy = stream("(S^2 B)^9 B^3"), MedianPolicy(U, E)
+        for objective in ("profit", "welfare"):
+            full = _mc_samples(s, policy, U, E, 700, 13, None, objective)
+            assert np.array_equal(_mc_samples(s, policy, U, E, k, 13, None, objective), full[:k])
 
     def test_working_set_is_bounded_by_the_slab(self):
         # 8197 trials: a full chunk and a ragged second; 1200 steps: more than one slab
@@ -320,45 +347,61 @@ class TestDeadBuyerSkip:
 
     @staticmethod
     def spy_on_draws(monkeypatch):
-        """Record the (start, depth) of every draws call the kernel makes."""
-        calls, resolve = [], engine_mod._resolve
+        """Record the (start, depth) of every draws call the kernel makes, and a copy
+        of the uniforms it returned."""
+        calls, slabs, resolve = [], [], engine_mod._resolve
 
         def recording(*args):
             *head, draws, objective = args
 
             def draws_recorded(start, depth):
                 calls.append((start, depth))
-                return draws(start, depth)
+                slabs.append(draws(start, depth).copy())
+                return slabs[-1]
 
             return resolve(*head, draws_recorded, objective)
 
         monkeypatch.setattr(engine_mod, "_resolve", recording)
-        return calls
+        return calls, slabs
 
     @pytest.mark.parametrize("text", STREAMS)
     @pytest.mark.parametrize("policy_factory,f_s,f_b,cap", CASES)
     def test_kernel_equals_step_by_step_oracle(self, monkeypatch, text, policy_factory, f_s, f_b, cap):
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
         monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 5)
-        s, policy, trials = stream(text), policy_factory(), 12  # three chunks, the last ragged
+        # 300 trials: three chunks of one lane block each, the last ragged
+        s, policy, trials = stream(text), policy_factory(), 300
         root = RandomStream(2718)
-        ref = [resolve_trial_by_steps(s, policy, f_s, f_b, root.substream(i).random(len(s)), cap) for i in range(trials)]
+        ref = [resolve_trial_by_steps(s, policy, f_s, f_b, root.trial_uniforms(i, len(s)), cap) for i in range(trials)]
         for objective in ("profit", "welfare", "leftover"):
             got = _mc_samples(s, policy, f_s, f_b, trials, 2718, cap, objective)
             assert np.array_equal(got, [getattr(r, objective) for r in ref]), objective
 
     def test_a_chunk_jumps_to_the_next_seller(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
-        calls = self.spy_on_draws(monkeypatch)
+        calls, _ = self.spy_on_draws(monkeypatch)
         s = stream("S^4 B^400 S B^3")
         _mc_samples(s, FixedPricePolicy(1.0, 0.0), U, U, 5, 1, None, "profit")
         # every seller buys and every buyer pays, so stock is gone after step 7
         assert calls == [(0, 4), (4, 4), (404, 4)]
 
+    def test_a_slab_after_skipped_buyers_reads_its_own_draws(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
+        monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 256)  # two blocks per chunk
+        calls, slabs = self.spy_on_draws(monkeypatch)
+        s = stream("S^4 B^400 S B^3")
+        _mc_samples(s, FixedPricePolicy(1.0, 0.0), U, U, 300, 5, None, "profit")
+        # three blocks in two chunks; each chunk reads steps 0-7, skips to 404 and reads 404-407
+        assert calls == [(0, 4), (4, 4), (404, 4)] * 2
+        full = np.stack([RandomStream(5).substream(b).random((len(s), 128)) for b in range(3)])
+        for n, ((start, depth), slab) in enumerate(zip(calls, slabs)):
+            blocks = full[:2] if n < 3 else full[2:]
+            assert np.array_equal(slab, blocks[:, start : start + depth])
+
     @pytest.mark.parametrize("text", ["S B^40 S^3 B^30 S B^5", "S^64 B^2048 S^8 B^600"])
     def test_trace_over_skipped_steps(self, monkeypatch, text):
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
-        calls = self.spy_on_draws(monkeypatch)
+        calls, _ = self.spy_on_draws(monkeypatch)
         s, policy = stream(text), DecayingSellerPolicy(0.05, U, E)
         log = run_trial(s, policy, U, E, RandomStream(31).substream(2))
         u = RandomStream(31).substream(2).random(len(s))

@@ -93,6 +93,8 @@ ENTRY_POINTS = [
     # seeds and substream indices >= 0
     ("RandomStream.seed", lambda v: RandomStream(v), 0),
     ("RandomStream.substream.index", lambda v: RandomStream(0).substream(v), 0),
+    ("RandomStream.trial_uniforms.index", lambda v: RandomStream(0).trial_uniforms(v, 3), 0),
+    ("RandomStream.trial_uniforms.n", lambda v: RandomStream(0).trial_uniforms(0, v), 0),
     ("monte_carlo.seed", lambda v: monte_carlo(SB, FIXED, U, U, 10, v), 0),
     ("ExperimentConfig.seed", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), seed=v), 0),
     ("run_suite.seed", lambda v: run_suite("mhr", seed=v), 0),

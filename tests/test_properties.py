@@ -52,10 +52,11 @@ def markets(draw):
 @given(
     market=markets(),
     objective=st.sampled_from(["profit", "welfare", "leftover"]),
-    trials=st.integers(2, 9),
+    # up to three lane blocks of 128 trials, one to three blocks per chunk
+    trials=st.integers(2, 300),
     seed=st.integers(0, 2**40),
     slab=st.integers(1, 6),
-    chunk=st.integers(1, 4),
+    chunk=st.integers(1, 400),
 )
 def test_kernel_equals_step_by_step_reference(market, objective, trials, seed, slab, chunk):
     stream, policy, f_s, f_b, cap = market
@@ -63,7 +64,7 @@ def test_kernel_equals_step_by_step_reference(market, objective, trials, seed, s
         got = _mc_samples(stream, policy, f_s, f_b, trials, seed, cap, objective)
     root = RandomStream(seed)
     want = [
-        getattr(resolve_trial_by_steps(stream, policy, f_s, f_b, root.substream(i).random(len(stream)), cap), objective)
+        getattr(resolve_trial_by_steps(stream, policy, f_s, f_b, root.trial_uniforms(i, len(stream)), cap), objective)
         for i in range(trials)
     ]
     assert np.array_equal(got, want)
