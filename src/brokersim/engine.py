@@ -33,16 +33,19 @@ rounds up to whole blocks (extra lanes are discarded), so every sample is
 independent of the chunk size, the slab size and the number of trials.
 Estimates reduce in trial-index order with compensated summation, so
 results are identical across reruns.  One slab of at most ``_STEP_SLAB`` x
-``_TRIAL_CHUNK`` float64 uniforms (32 MiB) serves a whole run, whatever the
+``_TRIAL_CHUNK`` float64 uniforms (32 x 8192, 2 MiB, small enough to stay in
+cache between the fill and the step loop) serves a whole run, whatever the
 stream length and trial count.
 
 Dead buyers are skipped: when a slab would start on a buyer while no trial of
 the chunk holds stock, it starts at the next seller instead, and the run ends
-if none is left.  Those buyers cannot trade, so stock, spend, income and
-welfare are exactly what stepping through them would give.  Their draws are
-still consumed: a gap of g steps advances each block's generator by 128 g
-(``bit_generator.advance``), so step t still reads its own draw, and a trace
-still values every step from its own draw.
+if none is left.  Once every trial's stock is gone, the kernel resolves at
+most the rest of the current slab, under ``_STEP_SLAB`` (32) steps.  Those
+buyers cannot trade, so stock, spend, income and welfare are exactly what
+stepping through them would give.  Their draws are still consumed: a gap of
+g steps advances each block's generator by 128 g (``bit_generator.advance``),
+so step t still reads its own draw, and a trace still values every step from
+its own draw.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 8192
-_STEP_SLAB = 512
+_STEP_SLAB = 32
 _LANES = 128
 _OBJECTIVES = ("profit", "welfare")
 
@@ -132,24 +135,12 @@ class TradeLog:
         return self.roles.size
 
     @property
-    def items_bought(self) -> int:
-        return int(np.count_nonzero(self.traded & (self.roles == SELLER)))
-
-    @property
-    def items_sold(self) -> int:
-        return int(np.count_nonzero(self.traded & (self.roles == BUYER)))
-
-    @property
     def spend(self) -> float:
         return _step_sum(self.prices[self.traded & (self.roles == SELLER)])
 
     @property
     def income(self) -> float:
         return _step_sum(self.prices[self.traded & (self.roles == BUYER)])
-
-    @property
-    def leftover_stock(self) -> int:
-        return int(self.stock_after[-1]) if self.n else 0
 
     def validate(self, stock_cap: int | None = None) -> None:
         """Fail fast on a broken stock trajectory.
@@ -297,8 +288,6 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
     """
     n = len(stream)
     trace = shape == (1,)
-    roles = stream.roles.tolist()
-    price, thresh = price.tolist(), thresh.tolist()
     # stock never exceeds n_S, so a cap above it can never bind
     capped = cap <= stream.n_S
     need_values = objective == "welfare"
@@ -311,35 +300,37 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
     sellers = np.flatnonzero(stream.roles == SELLER)
     slab_start = 0
     while slab_start < n:
-        if roles[slab_start] != SELLER and not stock.any():
+        if stream.roles[slab_start] != SELLER and not stock.any():
             # no trial holds stock, so no buyer can trade before the next seller
             nxt = int(np.searchsorted(sellers, slab_start))
             if nxt == sellers.size:
                 break
             slab_start = int(sellers[nxt])
-        depth = min(_STEP_SLAB, n - slab_start)
-        slab = draws(slab_start, depth)
-        for k in range(depth):
-            t = slab_start + k
+        stop = min(slab_start + _STEP_SLAB, n)
+        slab = draws(slab_start, stop - slab_start)
+        window = slice(slab_start, stop)
+        # the step loop's Python scalars are made per slab, so they stay slab-sized
+        steps = zip(stream.roles[window].tolist(), price[window].tolist(), thresh[window].tolist())
+        for k, (role, p, th) in enumerate(steps):
             u = slab[..., k, :]
-            if roles[t] == SELLER:
-                trade = u < thresh[t]
+            if role == SELLER:
+                trade = u < th
                 if capped:
                     trade &= stock < cap
-                spend += trade * price[t]
+                spend += trade * p
                 stock += trade
                 if need_values:
                     wsum += ~trade * f_s.inverse_cdf(u)
             else:
-                trade = (u >= thresh[t]) & (stock > 0)
-                income += trade * price[t]
+                trade = (u >= th) & (stock > 0)
+                income += trade * p
                 stock -= trade
                 if need_values:
                     wsum += trade * f_b.inverse_cdf(u)
             if trace:
-                traded[t] = trade[0]
-                stock_after[t] = stock[0]
-        slab_start += depth
+                traded[slab_start + k] = trade[0]
+                stock_after[slab_start + k] = stock[0]
+        slab_start = stop
     if objective == "profit":
         out = income - spend
     elif objective == "welfare":
@@ -364,7 +355,7 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
     chunk = max(1, _TRIAL_CHUNK // _LANES)
     out = np.empty((n_blocks, _LANES))
     # one block-major slab serves every chunk: the working set is bounded by
-    # _STEP_SLAB x _TRIAL_CHUNK uniforms, whatever the stream length
+    # _STEP_SLAB x _TRIAL_CHUNK uniforms (2 MiB), whatever the stream length
     slab = np.empty((min(chunk, n_blocks), min(_STEP_SLAB, len(stream)), _LANES))
     for b0 in range(0, n_blocks, chunk):
         gens = [root.substream(b) for b in range(b0, min(b0 + chunk, n_blocks))]

@@ -90,7 +90,7 @@ class TestRandomStream:
 class TestRunTrial:
     def test_seller_at_support_max_always_buys(self, rng):
         log = run_trial(stream("S"), FixedPricePolicy(1.0, 0.5), U, U, rng)
-        assert log.items_bought == 1
+        assert np.count_nonzero(log.traded & (log.roles == SELLER)) == 1
         assert log.spend == 1.0
 
     def test_buyer_without_stock_never_trades(self, rng):
@@ -185,7 +185,7 @@ class TestScoring:
         )
         assert profit(log) == 0.0
         assert welfare(log) == 0.0
-        assert log.leftover_stock == 0
+        assert not log.stock_after.any()
 
     def test_profit_arithmetic(self):
         log = TradeLog(
@@ -328,7 +328,21 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 2**20
+        # twice the slab, plus sixteen float64 of per-trial state for each trial of a chunk
+        slab_bytes = engine_mod._STEP_SLAB * engine_mod._TRIAL_CHUNK * 8
+        assert peak <= 2 * slab_bytes + 16 * 8 * engine_mod._TRIAL_CHUNK
+
+    def test_a_long_stream_costs_arrays_not_python_scalars(self):
+        # 10^6 dead buyers, then one seller: the run resolves a single one-step slab
+        s = stream("B^1000000 S")
+        tracemalloc.start()
+        try:
+            _mc_samples(s, MedianPolicy(U, U), U, U, 2, 1, None, "profit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the price and threshold arrays take 16 bytes a step; allow 24
+        assert peak <= 24 * len(s)
 
 
 class TestDeadBuyerSkip:
@@ -398,6 +412,15 @@ class TestDeadBuyerSkip:
             blocks = full[:2] if n < 3 else full[2:]
             assert np.array_equal(slab, blocks[:, start : start + depth])
 
+    def test_a_dead_stretch_ends_within_one_slab(self, monkeypatch):
+        # at the real slab depth; each buyer takes a trial's item with probability 1/2,
+        # so every trial's stock is gone long before the next seller, 601 steps on
+        calls, _ = self.spy_on_draws(monkeypatch)
+        s = stream("(S B^600)^10")
+        _mc_samples(s, MedianPolicy(U, U), U, U, 8192, 1, None, "welfare")
+        assert all(s.roles[start] == SELLER for start, _ in calls)
+        assert sum(depth for _, depth in calls) <= 1000
+
     @pytest.mark.parametrize("text", ["S B^40 S^3 B^30 S B^5", "S^64 B^2048 S^8 B^600"])
     def test_trace_over_skipped_steps(self, monkeypatch, text):
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
@@ -434,7 +457,9 @@ class TestInventoryTerminal:
         gen = RandomStream(8).substream(0)
         pol = BalancedPolicy(1, U, U)
         log = run_trial(stream("(SB)^50"), pol, U, U, gen)
-        assert log.leftover_stock == log.items_bought - log.items_sold
+        bought = np.count_nonzero(log.traded & (log.roles == SELLER))
+        sold = np.count_nonzero(log.traded & (log.roles == BUYER))
+        assert log.stock_after[-1] == bought - sold
 
 
 class TestCoupledRuns:
