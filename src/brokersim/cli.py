@@ -141,13 +141,9 @@ def _cmd_simulate(args) -> int:
         f"trials={est.trials} seed={args.seed}"
     )
     if args.trace:
-        # trial 0 of the run above: its draws, handed to run_trial by role rank
+        # trial 0 of the run above
         u = RandomStream(args.seed).trial_uniforms(0, len(stream))
-        seller = stream.roles == SELLER
-        log = run_trial(
-            stream, policy, f_s, f_b, uniforms=(u[seller], u[~seller]),
-            stock_cap=args.stock_cap,
-        )
+        log = run_trial(stream, policy, f_s, f_b, u, stock_cap=args.stock_cap)
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,role,price,value,traded,stock\n")
             for t in range(log.n):

@@ -189,34 +189,26 @@ def run_trial(
     policy: PricePolicy,
     f_s: Distribution,
     f_b: Distribution,
-    rng: np.random.Generator | None = None,
+    uniforms: np.ndarray | np.random.Generator,
     *,
-    uniforms: tuple[np.ndarray, np.ndarray] | None = None,
     stock_cap: int | None = None,
 ) -> TradeLog:
     """Run one trial through the Monte Carlo kernel and return its trace.
 
-    Draws come either from ``rng`` (one uniform per step, in step order) or
-    from explicit ``uniforms`` = (seller_uniforms, buyer_uniforms) indexed
-    by role rank.  The explicit form is the coupling device: running two
-    streams with the same arrays hands the j-th seller (and j-th buyer) of
-    both streams the same draw.  It also replays trial i of a Monte Carlo
-    run: split ``RandomStream(seed).trial_uniforms(i, n)`` by role.  Prices
-    are NaN where the policy's own stock limit declined a seller.
+    ``uniforms`` is one row of shape ``(n,)`` in step order: step t values
+    its agent at ``quantile(uniforms[t])``.  The row
+    ``RandomStream(seed).trial_uniforms(i, n)`` replays trial i of a Monte
+    Carlo run exactly.  A ``np.random.Generator`` stands for the row
+    ``uniforms.random(n)``.  Prices are NaN where the policy's own stock
+    limit declined a seller.
     """
-    if (rng is None) == (uniforms is None):
-        raise ValueError("provide exactly one of rng or uniforms")
     price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     seller = stream.roles == SELLER
-    if uniforms is None:
-        row = rng.random(len(stream))
-    else:
-        u_sellers, u_buyers = (np.asarray(a, dtype=float) for a in uniforms)
-        if u_sellers.size < stream.n_S or u_buyers.size < stream.n_B:
-            raise ValueError("not enough uniforms for the stream's role counts")
-        row = np.empty(len(stream))
-        row[seller] = u_sellers[: stream.n_S]
-        row[~seller] = u_buyers[: stream.n_B]
+    if isinstance(uniforms, np.random.Generator):
+        uniforms = uniforms.random(len(stream))
+    row = np.asarray(uniforms, dtype=float)
+    if row.shape != (len(stream),):
+        raise ValueError(f"uniforms must have shape ({len(stream)},), got {row.shape}")
 
     def draws(start, depth):
         return row[start : start + depth, None]

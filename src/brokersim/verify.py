@@ -22,7 +22,7 @@ from .distributions import (
     harmonic,
     top_k_sum_bound,
 )
-from .engine import RandomStream, monte_carlo
+from .engine import RandomStream, inventory_terminal, monte_carlo
 from .errors import require_int
 from .fractional import certify_bounds, solve_fractional
 from .matching import brute_force_max_matching, fifo_match
@@ -123,8 +123,6 @@ def _suite_adaptive(seed: int, trials: int) -> list[CheckLine]:
 
 
 def _suite_azuma(seed: int, trials: int) -> list[CheckLine]:
-    from .engine import inventory_terminal
-
     checks = []
     f_s = f_b = Uniform(0.0, 1.0)
     for alpha in (1, 2):

@@ -9,6 +9,9 @@ time (the library squares a vector), and one trial is resolved by a plain
 loop over every step (the library's kernel runs trials side by side in
 slabs and skips buyers that cannot trade).  ``validate_matching``
 and ``prefix_dominates`` are reference checks on the library's outputs.
+``by_role_rank`` builds the step-ordered row of uniforms that
+``run_trial`` takes from draws indexed by role rank, the coupling device
+that hands the j-th seller (and j-th buyer) of two streams the same draw.
 """
 
 import math
@@ -171,3 +174,16 @@ def resolve_trial_by_steps(stream, policy, f_s, f_b, u, stock_cap=None):
         traded.append(trade)
         stock_after.append(stock)
     return StepByStepTrial(income - spend, welfare, stock, traded, stock_after)
+
+
+def by_role_rank(stream, u_sellers, u_buyers):
+    """The step-ordered row in which the j-th seller of ``stream`` reads
+    ``u_sellers[j]`` and the j-th buyer ``u_buyers[j]``; each array must
+    hold exactly one uniform per agent of its role."""
+    if len(u_sellers) != stream.n_S or len(u_buyers) != stream.n_B:
+        raise ValueError("need one uniform per seller and one per buyer")
+    seller = stream.roles == SELLER
+    row = np.empty(len(stream))
+    row[seller] = u_sellers
+    row[~seller] = u_buyers
+    return row

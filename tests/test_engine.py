@@ -26,7 +26,7 @@ from brokersim import (
     welfare,
 )
 from brokersim.engine import MCEstimate, TradeLog, _mc_samples
-from oracles import resolve_trial_by_steps, variance_sum_by_generator
+from oracles import by_role_rank, resolve_trial_by_steps, variance_sum_by_generator
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
@@ -37,13 +37,6 @@ INDICES = (0, 1023, 1024, 8191, 8192, 10**6, 2**32 - 1, 2**32, 2**40 + 1025)
 
 def stream(text):
     return AgentStream.from_pattern(text)
-
-
-def trial_draws(seed, i, s):
-    """Trial i's uniforms split by role rank, as ``run_trial(uniforms=...)`` takes them."""
-    u = RandomStream(seed).trial_uniforms(i, len(s))
-    seller = s.roles == SELLER
-    return u[seller], u[~seller]
 
 
 class TestRandomStream:
@@ -89,58 +82,64 @@ class TestRandomStream:
 
 class TestRunTrial:
     def test_seller_at_support_max_always_buys(self, rng):
-        log = run_trial(stream("S"), FixedPricePolicy(1.0, 0.5), U, U, rng)
+        log = run_trial(stream("S"), FixedPricePolicy(1.0, 0.5), U, U, rng.random(1))
         assert np.count_nonzero(log.traded & (log.roles == SELLER)) == 1
         assert log.spend == 1.0
 
     def test_buyer_without_stock_never_trades(self, rng):
-        log = run_trial(stream("B"), FixedPricePolicy(1.0, 0.0), U, U, rng)
+        log = run_trial(stream("B"), FixedPricePolicy(1.0, 0.0), U, U, rng.random(1))
         assert not log.traded[0]
         assert welfare(log) == 0.0
 
     def test_hand_traced_sb(self, rng):
-        log = run_trial(stream("SB"), FixedPricePolicy(1.0, 0.0), U, U, rng)
+        log = run_trial(stream("SB"), FixedPricePolicy(1.0, 0.0), U, U, rng.random(2))
         assert log.traded.all()
         assert profit(log) == pytest.approx(-1.0, abs=1e-15)
 
     def test_declined_seller_logged_with_nan_price(self):
-        gen = RandomStream(3).substream(0)
         pol = StockLimitedPolicy(1, U, U)
-        log = run_trial(stream("S^30 B"), pol, U, U, gen)
+        log = run_trial(stream("S^30 B"), pol, U, U, RandomStream(3).trial_uniforms(0, 31))
         declined = np.isnan(log.prices[:30])
         assert declined.sum() >= 1
         assert log.stock_after.max() == 1
 
     def test_stock_cap_binds(self):
-        gen = RandomStream(5).substream(0)
-        log = run_trial(stream("S^40 B^3"), FixedPricePolicy(1.0, 0.0), U, U, gen, stock_cap=2)
+        u = RandomStream(5).trial_uniforms(0, 43)
+        log = run_trial(stream("S^40 B^3"), FixedPricePolicy(1.0, 0.0), U, U, u, stock_cap=2)
         assert log.stock_after.max() == 2
         log.validate(stock_cap=2)
 
-    def test_needs_exactly_one_randomness_source(self, rng):
-        with pytest.raises(ValueError):
-            run_trial(stream("SB"), FixedPricePolicy(0.5, 0.5), U, U)
-        with pytest.raises(ValueError):
-            run_trial(stream("SB"), FixedPricePolicy(0.5, 0.5), U, U, rng, uniforms=(np.array([0.1]), np.array([0.9])))
+    def test_row_must_have_one_uniform_per_step(self):
+        # short, long and 2-D rows; extra uniforms are an error, not ignored
+        for row in ([0.1], [0.1, 0.9, 0.5], [[0.1, 0.9]]):
+            with pytest.raises(ValueError, match="shape"):
+                run_trial(stream("SB"), FixedPricePolicy(0.5, 0.5), U, U, np.array(row))
+
+    def test_a_generator_stands_for_its_first_n_draws(self):
+        s, pol = stream("S^5 (S^2 B)^9"), StockLimitedPolicy(1, U, E)
+        for seed in (0, 3, 2**64 + 5):
+            got = run_trial(s, pol, U, E, RandomStream(seed).substream(0), stock_cap=2)
+            want = run_trial(s, pol, U, E, RandomStream(seed).substream(0).random(len(s)), stock_cap=2)
+            for field in ("roles", "prices", "values", "traded", "stock_after"):
+                assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
 
     def test_explicit_uniforms_by_role_rank(self):
-        us = np.array([0.1, 0.9])
-        ub = np.array([0.95])
-        log = run_trial(stream("SSB"), FixedPricePolicy(0.5, 0.5), U, U, uniforms=(us, ub))
+        s = stream("SSB")
+        log = run_trial(s, FixedPricePolicy(0.5, 0.5), U, U, by_role_rank(s, [0.1, 0.9], [0.95]))
         assert log.traded.tolist() == [True, False, True]
         assert log.values[0] == pytest.approx(0.1)
         assert log.values[2] == pytest.approx(0.95)
 
     def test_nan_uniform_is_rejected(self):
         with pytest.raises(ValueError, match="must lie in"):
-            run_trial(stream("SSB"), FixedPricePolicy(0.5, 0.5), U, U, uniforms=(np.array([0.1, np.nan]), np.array([0.9])))
+            run_trial(stream("SSB"), FixedPricePolicy(0.5, 0.5), U, U, np.array([0.1, np.nan, 0.9]))
 
     def test_logs_validate_on_random_configs(self, rng):
         for _ in range(20):
             roles = rng.integers(0, 2, size=30).astype(np.uint8)
             s = AgentStream(roles)
             gen = np.random.default_rng(int(rng.integers(0, 2**32)))
-            log = run_trial(s, MedianPolicy(U, E), U, E, gen)
+            log = run_trial(s, MedianPolicy(U, E), U, E, gen.random(30))
             log.validate()
             assert log.stock_after.min() >= 0
 
@@ -276,7 +275,7 @@ class TestMonteCarlo:
             vec = _mc_samples(s, policy, f_s, f_b, trials, 909, cap, objective)
             scalar = np.array(
                 [
-                    score(run_trial(s, policy, f_s, f_b, uniforms=trial_draws(909, i, s), stock_cap=cap))
+                    score(run_trial(s, policy, f_s, f_b, RandomStream(909).trial_uniforms(i, len(s)), stock_cap=cap))
                     for i in range(trials)
                 ]
             )
@@ -295,8 +294,8 @@ class TestMonteCarlo:
             s, pol = stream("S^5 (S^2 B)^9"), StockLimitedPolicy(1, U, U)
             gen = np.random.default_rng(3)
             return [
-                run_trial(s, pol, U, U, RandomStream(77).substream(0), stock_cap=1),
-                run_trial(s, pol, U, U, uniforms=(gen.random(s.n_S) / 8, gen.random(s.n_B))),
+                run_trial(s, pol, U, U, RandomStream(77).trial_uniforms(0, len(s)), stock_cap=1),
+                run_trial(s, pol, U, U, by_role_rank(s, gen.random(s.n_S) / 8, gen.random(s.n_B))),
             ]
 
         baseline, baseline_logs = _mc_samples(*args), logs()
@@ -426,8 +425,8 @@ class TestDeadBuyerSkip:
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
         calls, _ = self.spy_on_draws(monkeypatch)
         s, policy = stream(text), DecayingSellerPolicy(0.05, U, E)
-        log = run_trial(s, policy, U, E, RandomStream(31).substream(2))
-        u = RandomStream(31).substream(2).random(len(s))
+        u = RandomStream(31).trial_uniforms(2, len(s))
+        log = run_trial(s, policy, U, E, u)
         ref = resolve_trial_by_steps(s, policy, U, E, u)
         assert np.array_equal(log.traded, ref.traded)
         assert np.array_equal(log.stock_after, ref.stock_after)
@@ -454,9 +453,8 @@ class TestInventoryTerminal:
         assert est.mean == 0.0
 
     def test_terminal_stock_equals_bought_minus_sold(self):
-        gen = RandomStream(8).substream(0)
         pol = BalancedPolicy(1, U, U)
-        log = run_trial(stream("(SB)^50"), pol, U, U, gen)
+        log = run_trial(stream("(SB)^50"), pol, U, U, RandomStream(8).trial_uniforms(0, 100))
         bought = np.count_nonzero(log.traded & (log.roles == SELLER))
         sold = np.count_nonzero(log.traded & (log.roles == BUYER))
         assert log.stock_after[-1] == bought - sold
@@ -473,7 +471,7 @@ class TestCoupledRuns:
         for s1, s2 in pairs:
             for trial in range(200):
                 gen = np.random.default_rng(trial)
-                uniforms = (gen.random(s1.n_S), gen.random(s1.n_B))
-                p1 = profit(run_trial(s1, pol, U, U, uniforms=uniforms))
-                p2 = profit(run_trial(s2, pol, U, U, uniforms=uniforms))
+                u_sellers, u_buyers = gen.random(s1.n_S), gen.random(s1.n_B)
+                p1 = profit(run_trial(s1, pol, U, U, by_role_rank(s1, u_sellers, u_buyers)))
+                p2 = profit(run_trial(s2, pol, U, U, by_role_rank(s2, u_sellers, u_buyers)))
                 assert p1 >= p2 - 1e-12

@@ -62,7 +62,7 @@ ENTRY_POINTS = [
     ("ExperimentConfig.alpha", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), alpha=v), 1),
     # stock cap / capacity >= 1
     ("monte_carlo.stock_cap", lambda v: monte_carlo(SSBB, FIXED, U, U, 10, 0, stock_cap=v), 1),
-    ("run_trial.stock_cap", lambda v: run_trial(SSBB, FIXED, U, U, rng(), stock_cap=v), 1),
+    ("run_trial.stock_cap", lambda v: run_trial(SSBB, FIXED, U, U, rng().random(4), stock_cap=v), 1),
     ("StockLimitedPolicy.capacity", lambda v: StockLimitedPolicy(v, U, U), 1),
     ("ExperimentConfig.stock_cap", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), stock_cap=v), 1),
     ("adaptive_dp_oracle.stock_cap", lambda v: adaptive_dp_oracle(SSBB, U, U, price_grid=8, stock_cap=v), 1),

@@ -20,6 +20,7 @@ from brokersim import (
     build_policy,
     run_trial,
 )
+from oracles import by_role_rank
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
@@ -76,7 +77,8 @@ class TestPrices:
 
 def trace(text, policy, u_sellers, u_buyers):
     """run_trial on hand-picked draws, indexed by role rank."""
-    return run_trial(AgentStream.from_pattern(text), policy, U, U, uniforms=(np.array(u_sellers), np.array(u_buyers)))
+    s = AgentStream.from_pattern(text)
+    return run_trial(s, policy, U, U, by_role_rank(s, u_sellers, u_buyers))
 
 
 class TestStateMachine:

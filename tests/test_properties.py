@@ -75,10 +75,10 @@ def test_kernel_equals_step_by_step_reference(market, objective, trials, seed, s
 def test_trade_logs_are_valid(market, seed, slab):
     stream, policy, f_s, f_b, cap = market
     with mock.patch.object(engine_mod, "_STEP_SLAB", slab):
-        log = run_trial(stream, policy, f_s, f_b, RandomStream(seed).substream(0), stock_cap=cap)
+        u = RandomStream(seed).trial_uniforms(0, len(stream))
+        log = run_trial(stream, policy, f_s, f_b, u, stock_cap=cap)
     limits = [c for c in (policy.stock_limit, cap) if c is not None]
     log.validate(min(limits, default=None))
-    u = RandomStream(seed).substream(0).random(len(stream))
     ref = resolve_trial_by_steps(stream, policy, f_s, f_b, u, cap)
     assert np.array_equal(log.traded, ref.traded)
     assert np.array_equal(log.stock_after, ref.stock_after)
