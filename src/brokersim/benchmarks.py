@@ -110,6 +110,14 @@ def balanced_profit_decomposition(m: int, sol: FractionalSolution, expected_left
     return gross - expected_leftover * (sol.p - sol.q) - expected_leftover * sol.q
 
 
+def _bellman_step(stay: np.ndarray, move: np.ndarray, prob: np.ndarray, cash: np.ndarray) -> np.ndarray:
+    """One agent's Bellman step for every stock level at once: the better of
+    declining (``stay``) and the best grid price, which trades with
+    probability ``prob``, pays ``cash`` and leads to ``move``."""
+    trade = prob * ((cash + move[:, None]) - stay[:, None]) + stay[:, None]
+    return np.maximum(stay, trade.max(axis=1))
+
+
 def adaptive_dp_oracle(
     stream: AgentStream,
     f_s: Distribution,
@@ -122,8 +130,12 @@ def adaptive_dp_oracle(
 
     The grid holds ``price_grid`` prices per side, uniform in cdf space, so
     one cell always covers 1/price_grid of probability mass regardless of
-    the distribution.  Declining is always available.  Oracle-scale only:
-    refuses streams longer than 30 or grids above 2048.
+    the distribution.  Declining is always available.  Each agent is one
+    array step over all stock levels: a seller at stock k < cap accepts
+    price q with probability F_S(q) and moves to k + 1 for cash -q; a
+    buyer at stock k > 0 accepts p with probability 1 - F_B(p) and moves
+    to k - 1 for cash +p; the remaining level keeps its value.
+    Oracle-scale only: refuses streams longer than 30 or grids above 2048.
     """
     n = len(stream)
     if n > 30:
@@ -137,23 +149,15 @@ def adaptive_dp_oracle(
         return 0.0
 
     grid_u = np.arange(price_grid) / price_grid
-    q_prices = np.asarray(f_s.quantile(grid_u), dtype=float)
-    buy_prob = grid_u
-    p_prices = np.asarray(f_b.quantile(grid_u), dtype=float)
-    sell_prob = 1.0 - grid_u
+    seller_cash = -np.asarray(f_s.quantile(grid_u), dtype=float)
+    buyer_cash = np.asarray(f_b.quantile(grid_u), dtype=float)
 
     value = np.zeros(cap + 1)
     for t in reversed(range(n)):
         nxt = value
         value = nxt.copy()
         if int(stream.roles[t]) == SELLER:
-            for k in range(cap):
-                candidates = buy_prob * (nxt[k + 1] - q_prices - nxt[k]) + nxt[k]
-                value[k] = max(nxt[k], float(candidates.max()))
-            value[cap] = nxt[cap]
+            value[:-1] = _bellman_step(nxt[:-1], nxt[1:], grid_u, seller_cash)
         else:
-            value[0] = nxt[0]
-            for k in range(1, cap + 1):
-                candidates = sell_prob * (p_prices + nxt[k - 1] - nxt[k]) + nxt[k]
-                value[k] = max(nxt[k], float(candidates.max()))
+            value[1:] = _bellman_step(nxt[1:], nxt[:-1], 1.0 - grid_u, buyer_cash)
     return float(value[0])

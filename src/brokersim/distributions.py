@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _SLOPE_TOL = 1e-9
+_REGULARITY_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -299,14 +300,13 @@ def _nondecreasing(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(values) >= -tol))
 
 
-def check_regularity(d: Distribution, grid_points: int = 1024) -> RegularityReport:
+def check_regularity(d: Distribution) -> RegularityReport:
     """Grid-test MHR and cdf log-concavity on the support interior.
 
-    The grid is quantile-spaced (``grid_points`` interior quantiles), so the
-    same probability mass sits between consecutive abscissae for every kind.
+    The grid is quantile-spaced (``_REGULARITY_GRID`` interior quantiles), so
+    the same probability mass sits between consecutive abscissae for every kind.
     """
-    grid_points = require_int("grid_points", grid_points, 3)
-    u = (np.arange(grid_points) + 1.0) / (grid_points + 1.0)
+    u = (np.arange(_REGULARITY_GRID) + 1.0) / (_REGULARITY_GRID + 1.0)
     x = d.quantile(u)
     f = d.pdf(x)
 

@@ -23,7 +23,7 @@ online trader can always be forced to carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -51,8 +51,6 @@ DEFAULT_SWEEPS = {
     "pareto-blowup": tuple(2**k for k in range(4, 15)),
 }
 SCENARIOS = tuple(DEFAULT_SWEEPS)
-
-_CSV_HEADER = "n,online_mean,online_ci95_low,online_ci95_high,offline_bound,ratio,slack_adjusted_ratio"
 
 
 @dataclass(frozen=True)
@@ -182,20 +180,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[RatioRow]:
 
 def emit_csv(rows: list[RatioRow], path) -> None:
     """Write rows in full-precision scientific notation, UTF-8, LF endings."""
-    lines = [_CSV_HEADER]
+    lines = [",".join(f.name for f in fields(RatioRow))]
     for r in rows:
-        fields = [str(r.n)] + [
-            f"{v:.17e}"
-            for v in (
-                r.online_mean,
-                r.online_ci95_low,
-                r.online_ci95_high,
-                r.offline_bound,
-                r.ratio,
-                r.slack_adjusted_ratio,
-            )
-        ]
-        lines.append(",".join(fields))
+        n, *values = astuple(r)
+        lines.append(",".join([str(n)] + [f"{v:.17e}" for v in values]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

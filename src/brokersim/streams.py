@@ -162,7 +162,7 @@ def parse_pattern(text: str) -> StreamPattern:
 class AgentStream:
     """Immutable sequence of SELLER/BUYER roles with cached counts."""
 
-    __slots__ = ("roles", "n_S", "n_B", "_prefix")
+    __slots__ = ("roles", "n_S", "n_B")
 
     def __init__(self, roles: np.ndarray):
         roles = np.ascontiguousarray(roles, dtype=np.uint8)
@@ -172,7 +172,6 @@ class AgentStream:
         self.roles = roles
         self.n_S = int(np.count_nonzero(roles == SELLER))
         self.n_B = roles.size - self.n_S
-        self._prefix = None
 
     @classmethod
     def from_pattern(cls, text: str) -> "AgentStream":
@@ -187,10 +186,8 @@ class AgentStream:
         return "".join(_CHAR_FOR_ROLE[r] for r in self.roles)
 
     def seller_prefix_counts(self) -> np.ndarray:
-        """Cumulative seller count; entry t is the count in roles[:t+1]."""
-        if self._prefix is None:
-            self._prefix = np.cumsum(self.roles == SELLER)
-        return self._prefix
+        """Cumulative seller count, a fresh array; entry t is the count in roles[:t+1]."""
+        return np.cumsum(self.roles == SELLER)
 
     def __len__(self):
         return self.roles.size

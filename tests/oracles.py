@@ -12,6 +12,10 @@ and ``prefix_dominates`` are reference checks on the library's outputs.
 ``by_role_rank`` builds the step-ordered row of uniforms that
 ``run_trial`` takes from draws indexed by role rank, the coupling device
 that hands the j-th seller (and j-th buyer) of two streams the same draw.
+``adaptive_dp_by_stock_loop`` runs the adaptive oracle's backward
+induction one stock level at a time (the library steps all levels at
+once); it keeps the library's floating-point order, so the two agree
+exactly.
 """
 
 import math
@@ -187,3 +191,29 @@ def by_role_rank(stream, u_sellers, u_buyers):
     row[seller] = u_sellers
     row[~seller] = u_buyers
     return row
+
+
+def adaptive_dp_by_stock_loop(stream, f_s, f_b, price_grid, cap):
+    """Optimal adaptive profit on the quantile price grid, one Python loop
+    per stock level; ``cap`` is the resolved stock cap (at least 1)."""
+    grid_u = np.arange(price_grid) / price_grid
+    q_prices = np.asarray(f_s.quantile(grid_u), dtype=float)
+    buy_prob = grid_u
+    p_prices = np.asarray(f_b.quantile(grid_u), dtype=float)
+    sell_prob = 1.0 - grid_u
+
+    value = np.zeros(cap + 1)
+    for t in reversed(range(len(stream))):
+        nxt = value
+        value = nxt.copy()
+        if int(stream.roles[t]) == SELLER:
+            for k in range(cap):
+                candidates = buy_prob * (nxt[k + 1] - q_prices - nxt[k]) + nxt[k]
+                value[k] = max(nxt[k], float(candidates.max()))
+            value[cap] = nxt[cap]
+        else:
+            value[0] = nxt[0]
+            for k in range(1, cap + 1):
+                candidates = sell_prob * (p_prices + nxt[k - 1] - nxt[k]) + nxt[k]
+                value[k] = max(nxt[k], float(candidates.max()))
+    return float(value[0])

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from brokersim import (
@@ -22,6 +25,8 @@ from brokersim import (
     uniform_offline_policy,
     welfare_upper_bound,
 )
+
+from oracles import adaptive_dp_by_stock_loop
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
@@ -188,6 +193,18 @@ class TestAdaptiveOracle:
             for s in enumerate_alpha_balanced(alpha, m):
                 value = adaptive_dp_oracle(s, U, U, price_grid=grid)
                 assert value <= cap + len(s) / grid
+
+    @pytest.mark.parametrize("grid", [8, 256, 1024])
+    @pytest.mark.parametrize("f_s,f_b", [(U, U), (U, E), (E, E), (E, U)], ids=["U/U", "U/Exp", "Exp/Exp", "Exp/U"])
+    def test_matches_the_stock_loop_exactly(self, f_s, f_b, grid):
+        rng = np.random.default_rng(13)
+        streams = [*enumerate_alpha_balanced(2, 3), *enumerate_alpha_balanced(1, 4)]
+        streams += [AgentStream(rng.integers(0, 2, size=rng.integers(1, 31), dtype=np.uint8)) for _ in range(60)]
+        for cap, s in itertools.product((None, 1, 2, 3), streams):
+            if cap is not None and cap > len(s):
+                continue
+            expected = adaptive_dp_by_stock_loop(s, f_s, f_b, grid, s.n_S if cap is None else cap)
+            assert adaptive_dp_oracle(s, f_s, f_b, price_grid=grid, stock_cap=cap) == expected, (s, grid, cap)
 
 
 class TestFractionalDominance:

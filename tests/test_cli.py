@@ -11,7 +11,9 @@ from brokersim import (
     emit_csv,
     run_experiment,
 )
+from brokersim import verify
 from brokersim.cli import main, parse_config
+from brokersim.fractional import CheckResult
 from oracles import resolve_trial_by_steps
 
 
@@ -177,6 +179,13 @@ class TestVerify:
         code, out, _ = run(["verify", "matching"], capsys)
         assert code == 0
         assert "PASS" in out and "failures=0" in out
+
+    def test_certificate_lines_keep_the_certificates_verdict(self, monkeypatch):
+        # a slack inside certify_bounds' -1e-12 tolerance passes there, so it passes here too
+        monkeypatch.setattr(verify, "certify_bounds", lambda *a, **k: (CheckResult("value-lower-bound", True, -5e-13),))
+        lines = [c for c in verify.run_suite("bounds", seed=1, trials=100) if c.name.startswith("certificate")]
+        assert len(lines) == 2
+        assert all(c.passed and c.render().endswith("PASS") for c in lines)
 
 
 class TestConfigAndEnv:

@@ -179,10 +179,6 @@ class TestRegularity:
         assert not rep.mhr
         assert "log-survival not concave" in rep.failures
 
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            check_regularity(Uniform(0, 1), grid_points=2)
-
 
 class TestMhrPropertySuite:
     """Grid checks of the four MHR consequences plus the log-concave tail bound."""

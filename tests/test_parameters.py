@@ -23,7 +23,6 @@ from brokersim import (
     balanced_profit_decomposition,
     certify_bounds,
     brute_force_max_matching,
-    check_regularity,
     enumerate_alpha_balanced,
     fifo_match,
     harmonic,
@@ -80,7 +79,6 @@ ENTRY_POINTS = [
     ("inventory_terminal.m", lambda v: inventory_terminal(1, v, U, U, 10, 0), 0),
     ("top_k_sum_bound.k", lambda v: top_k_sum_bound(0.5, 0.3, 10, v), 1),
     ("top_k_sum_bound.m", lambda v: top_k_sum_bound(0.5, 0.3, v, 3), 3),
-    ("check_regularity.grid_points", lambda v: check_regularity(U, v), 3),
     ("adaptive_dp_oracle.price_grid", lambda v: adaptive_dp_oracle(SB, U, U, price_grid=v), 2),
     ("certify_bounds.m", lambda v: certify_bounds(SOL, U, U, m=v), 1),
     ("balanced_profit_decomposition.m", lambda v: balanced_profit_decomposition(v, SOL, 0.0), 0),

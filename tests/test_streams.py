@@ -161,6 +161,13 @@ class TestAgentStream:
         s = AgentStream.from_pattern("SBSSB")
         assert s.seller_prefix_counts().tolist() == [1, 1, 2, 3, 3]
 
+    def test_writing_prefix_counts_leaves_the_stream_unchanged(self):
+        s = AgentStream.from_pattern("SB")
+        counts = s.seller_prefix_counts()
+        counts[:] = 0
+        assert s.seller_prefix_counts().tolist() == [1, 1]
+        assert is_alpha_balanced(s, 1)
+
     def test_from_pattern_rejects_bad_chars(self):
         with pytest.raises(SpecParseError):
             AgentStream.from_pattern("SBX")
