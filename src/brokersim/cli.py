@@ -104,13 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("scenario", choices=SCENARIOS)
     # unset options take ExperimentConfig's defaults, and n_values the scenario's DEFAULT_SWEEPS
     exp.add_argument("--n-values", type=int_list, help="comma-separated sweep values")
-    exp.add_argument("--trials", type=int)
-    exp.add_argument("--seller-dist")
-    exp.add_argument("--buyer-dist")
-    exp.add_argument("--alpha", type=int)
-    exp.add_argument("--stock-cap", type=int)
-    exp.add_argument("--decay-eps", type=float)
-    exp.add_argument("--pareto-eps", type=float)
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name not in ("scenario", "n_values", "seed"):  # seed comes from add_common
+            exp.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default))
     exp.add_argument("--out", default="experiment.csv")
     add_common(exp, _cmd_experiment)
 
@@ -146,7 +142,7 @@ def _cmd_simulate(args) -> int:
         log = run_trial(stream, policy, f_s, f_b, u, stock_cap=args.stock_cap)
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,role,price,value,traded,stock\n")
-            for t in range(log.n):
+            for t in range(len(log.roles)):
                 role = "S" if log.roles[t] == SELLER else "B"
                 fh.write(
                     f"{t},{role},{log.prices[t]:.17e},{log.values[t]:.17e},"

@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 _SLOPE_TOL = 1e-9
-_REGULARITY_GRID = 1024
+# the 1024 interior quantiles k/1025 at which regularity is checked
+_REGULARITY_U = (np.arange(1024) + 1.0) / 1025.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class DistributionStats:
 
     mean: float
     std: float
-    median: float
 
 
 def _scalar_or_array(out: np.ndarray, scalar: bool):
@@ -140,7 +140,7 @@ class Uniform(Distribution):
 
     def stats(self):
         mid = 0.5 * (self.lo + self.hi)
-        return DistributionStats(mid, (self.hi - self.lo) / math.sqrt(12.0), mid)
+        return DistributionStats(mid, (self.hi - self.lo) / math.sqrt(12.0))
 
     def max_order_stat_mean(self, m):
         m = require_int("m", m, 1)
@@ -186,7 +186,7 @@ class Exponential(Distribution):
         return (0.0, math.inf)
 
     def stats(self):
-        return DistributionStats(1.0 / self.rate, 1.0 / self.rate, math.log(2.0) / self.rate)
+        return DistributionStats(1.0 / self.rate, 1.0 / self.rate)
 
     def max_order_stat_mean(self, m):
         m = require_int("m", m, 1)
@@ -247,7 +247,7 @@ class Pareto(Distribution):
             std = math.inf
         else:
             std = (1.0 - self.eps) / (self.eps * math.sqrt(2.0 * self.eps - 1.0))
-        return DistributionStats(mean, std, 2.0 ** (1.0 - self.eps))
+        return DistributionStats(mean, std)
 
     def max_order_stat_mean(self, m):
         # E[max] = Gamma(m+1) Gamma(eps) / Gamma(m+eps), grows like m**(1-eps)
@@ -303,10 +303,10 @@ def _nondecreasing(values: np.ndarray) -> bool:
 def check_regularity(d: Distribution) -> RegularityReport:
     """Grid-test MHR and cdf log-concavity on the support interior.
 
-    The grid is quantile-spaced (``_REGULARITY_GRID`` interior quantiles), so
-    the same probability mass sits between consecutive abscissae for every kind.
+    The grid is quantile-spaced (the quantiles ``_REGULARITY_U``), so the same
+    probability mass sits between consecutive abscissae for every kind.
     """
-    u = (np.arange(_REGULARITY_GRID) + 1.0) / (_REGULARITY_GRID + 1.0)
+    u = _REGULARITY_U
     x = d.quantile(u)
     f = d.pdf(x)
 

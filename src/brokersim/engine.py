@@ -130,18 +130,6 @@ class TradeLog:
     traded: np.ndarray
     stock_after: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.roles.size
-
-    @property
-    def spend(self) -> float:
-        return _step_sum(self.prices[self.traded & (self.roles == SELLER)])
-
-    @property
-    def income(self) -> float:
-        return _step_sum(self.prices[self.traded & (self.roles == BUYER)])
-
     def validate(self, stock_cap: int | None = None) -> None:
         """Fail fast on a broken stock trajectory.
 
@@ -174,7 +162,8 @@ def _step_sum(x: np.ndarray) -> float:
 
 def profit(log: TradeLog) -> float:
     """Income collected from buyers minus spend paid to sellers."""
-    return log.income - log.spend
+    income = _step_sum(log.prices[log.traded & (log.roles == BUYER)])
+    return income - _step_sum(log.prices[log.traded & (log.roles == SELLER)])
 
 
 def welfare(log: TradeLog) -> float:

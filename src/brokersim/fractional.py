@@ -86,12 +86,12 @@ def require_regular(f_s: Distribution, f_b: Distribution, context: str) -> None:
         )
 
 
-def _golden_max(fn, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while (b - a) > xtol:
+    while (b - a) > _Q_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -113,27 +113,21 @@ def solve_fractional(f_s: Distribution, f_b: Distribution, alpha: int) -> Fracti
     alpha = require_int("alpha", alpha, 1)
     require_regular(f_s, f_b, "solve_fractional")
 
-    u_max = 1.0 / alpha
-
-    def value_at_q(q: float) -> float:
-        u = float(f_s.cdf(q))
-        demand = 1.0 - alpha * u
-        if demand <= 0.0:
-            demand = 0.0
-        p = float(f_b.quantile(demand)) if demand < 1.0 else float(f_b.quantile(1.0 - 1e-15))
-        return alpha * u * (p - q)
+    def value(u, q):
+        """Objective at seller quantile ``u = F_S(q)`` and seller price ``q``."""
+        return alpha * u * (f_b.quantile(1.0 - alpha * u) - q)
 
     # Coarse scan on seller quantiles, then golden-section inside the
     # bracketing cell; uniqueness of the interior stationary point under
-    # regularity makes this safe.
-    grid_u = u_max * (np.arange(_COARSE_GRID + 2) + 0.5) / (_COARSE_GRID + 2)
+    # regularity makes this safe.  Golden section stays between grid points,
+    # so every u lies near [0.5, 1025.5] / 1026 / alpha and 1 - alpha*u is in (0, 1).
+    grid_u = (1.0 / alpha) * (np.arange(_COARSE_GRID + 2) + 0.5) / (_COARSE_GRID + 2)
     grid_q = np.asarray(f_s.quantile(grid_u), dtype=float)
-    grid_p = np.asarray(f_b.quantile(1.0 - alpha * grid_u), dtype=float)
-    grid_h = alpha * grid_u * (grid_p - grid_q)
+    grid_h = value(grid_u, grid_q)
     g = int(np.argmax(grid_h))
     lo = grid_q[max(g - 1, 0)]
     hi = grid_q[min(g + 1, grid_q.size - 1)]
-    q_star, h_star = _golden_max(value_at_q, lo, hi, _Q_TOL)
+    q_star, h_star = _golden_max(lambda q: value(float(f_s.cdf(q)), q), lo, hi)
     if grid_h[g] > h_star:
         q_star, h_star = float(grid_q[g]), float(grid_h[g])
 

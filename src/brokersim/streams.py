@@ -178,10 +178,6 @@ class AgentStream:
         return expand(parse_pattern(text))
 
     @property
-    def n(self) -> int:
-        return self.roles.size
-
-    @property
     def text(self) -> str:
         return "".join(_CHAR_FOR_ROLE[r] for r in self.roles)
 
@@ -199,9 +195,9 @@ class AgentStream:
         return hash(self.roles.tobytes())
 
     def __repr__(self):
-        if self.n <= 32:
+        if len(self) <= 32:
             return f"AgentStream({self.text!r})"
-        return f"AgentStream(n={self.n}, n_S={self.n_S}, n_B={self.n_B})"
+        return f"AgentStream(n={len(self)}, n_S={self.n_S}, n_B={self.n_B})"
 
 
 def expand(pattern: StreamPattern) -> AgentStream:

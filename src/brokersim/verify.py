@@ -15,6 +15,7 @@ import numpy as np
 
 from . import benchmarks
 from .distributions import (
+    _REGULARITY_U,
     Distribution,
     Exponential,
     Uniform,
@@ -58,13 +59,13 @@ def _line(suite, name, slack, tol=0.0):
 
 def _suite_mhr(seed: int, trials: int) -> list[CheckLine]:
     checks = []
-    grid = (np.arange(1024) + 1.0) / 1025.0
+    grid = _REGULARITY_U
     for d in _MHR_SET:
         mu = d.mean
         x = np.asarray(d.quantile(grid))
         surv = 1.0 - grid
-
         below = x <= mu
+
         slack = float(np.min(surv[below] - 1.0 / math.e)) if below.any() else math.inf
         checks.append(_line("mhr", f"{d} survival>=1/e below mean", slack, 1e-9))
 
@@ -80,7 +81,6 @@ def _suite_mhr(seed: int, trials: int) -> list[CheckLine]:
         stats = d.stats()
         checks.append(_line("mhr", f"{d} std<=mean", stats.mean - stats.std, 1e-12))
 
-        below = x <= mu
         slack = float(np.min(math.e * mu * grid[below] - x[below]))
         checks.append(_line("mhr", f"{d} tail bound x<=e*mu*F(x)", slack, 1e-9))
 

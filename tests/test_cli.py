@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from brokersim import (
@@ -12,7 +14,7 @@ from brokersim import (
     run_experiment,
 )
 from brokersim import verify
-from brokersim.cli import main, parse_config
+from brokersim.cli import _build_parser, main, parse_config
 from brokersim.fractional import CheckResult
 from oracles import resolve_trial_by_steps
 
@@ -162,6 +164,12 @@ class TestExperiment:
         assert main(argv + ["--config", str(conf), "--out", str(by_conf)]) == 0
         assert main(argv + ["--n-values", "4,8,16", "--decay-eps", "0.25", "--out", str(by_flags)]) == 0
         assert by_conf.read_text() == by_flags.read_text()
+
+    def test_every_config_field_is_an_option(self):
+        args = _build_parser().parse_args(["experiment", "balanced"])
+        for field in dataclasses.fields(ExperimentConfig):
+            if field.name not in ("scenario", "n_values"):
+                assert hasattr(args, field.name), field.name
 
     def test_bad_n_values_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -84,7 +84,7 @@ class TestRunTrial:
     def test_seller_at_support_max_always_buys(self, rng):
         log = run_trial(stream("S"), FixedPricePolicy(1.0, 0.5), U, U, rng.random(1))
         assert np.count_nonzero(log.traded & (log.roles == SELLER)) == 1
-        assert log.spend == 1.0
+        assert profit(log) == -1.0
 
     def test_buyer_without_stock_never_trades(self, rng):
         log = run_trial(stream("B"), FixedPricePolicy(1.0, 0.0), U, U, rng.random(1))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from brokersim import (
@@ -102,6 +103,38 @@ class TestSolveGeneral:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             solve_fractional(U, U, 0)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "f_s, f_b",
+        [
+            (U, U),
+            (Exponential(1.0), Exponential(2.0)),
+            (Exponential(1.0), U),
+            (Pareto(0.5), Exponential(1.0)),
+            (Pareto(0.5), U),  # no trade: the optimum sits at the grid's low end
+            (U, Uniform(5.0, 6.0)),  # buyers always above sellers: the high end
+        ],
+    )
+    def test_buyer_quantile_arguments_stay_inside_the_unit_interval(self, f_s, f_b, alpha):
+        class QuantileSpy:
+            """Delegates to ``f_b`` and records every ``quantile`` argument."""
+
+            def __init__(self):
+                self.args = []
+
+            def quantile(self, u):
+                self.args.extend(np.ravel(u).tolist())
+                return f_b.quantile(u)
+
+            def __getattr__(self, name):
+                return getattr(f_b, name)
+
+        spy = QuantileSpy()
+        sol = solve_fractional(f_s, spy, alpha)
+        assert sol == solve_fractional(f_s, f_b, alpha)
+        assert len(spy.args) > 2000  # regularity grid, coarse grid and golden section
+        assert all(0.0 < u < 1.0 for u in spy.args)
 
 
 class TestCertify:

@@ -31,7 +31,7 @@ class TestParsePattern:
 
     def test_counts(self):
         s = AgentStream.from_pattern("S^500 B^500")
-        assert (s.n_S, s.n_B, s.n) == (500, 500, 1000)
+        assert (s.n_S, s.n_B, len(s)) == (500, 500, 1000)
 
     @pytest.mark.parametrize(
         "bad",
