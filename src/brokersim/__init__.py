@@ -56,9 +56,7 @@ from .engine import (
     TradeLog,
     inventory_terminal,
     monte_carlo,
-    profit,
     run_trial,
-    welfare,
 )
 from .benchmarks import (
     adaptive_dp_oracle,

@@ -26,7 +26,7 @@ import os
 import sys
 
 from .distributions import parse_distribution
-from .engine import RandomStream, monte_carlo, run_trial
+from .engine import _OBJECTIVES, RandomStream, monte_carlo, run_trial
 from .errors import SpecParseError
 from .experiments import DEFAULT_SWEEPS, SCENARIOS, ExperimentConfig, emit_csv, run_experiment
 from .fractional import certify_bounds, solve_fractional
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--buyer-dist", dest="buyer_dist", required=True)
     sim.add_argument("--trials", type=int, default=10000)
     sim.add_argument("--stock-cap", dest="stock_cap", type=int, default=None)
-    sim.add_argument("--objective", choices=("profit", "welfare"), default="profit")
+    sim.add_argument("--objective", choices=_OBJECTIVES, default="profit")
     sim.add_argument("--trace", default=None, help="write a per-step CSV trace of trial 0")
     add_common(sim, _cmd_simulate)
 

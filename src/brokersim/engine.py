@@ -1,5 +1,5 @@
-"""Execution engine: run policies against streams, score profit/welfare,
-aggregate Monte Carlo estimates.
+"""Execution engine: run policies against streams, trace single trials,
+aggregate Monte Carlo estimates of profit and welfare.
 
 Trade semantics per step t (stock starts at 0):
 
@@ -16,9 +16,8 @@ Draws are inverse-transform: step t consumes one uniform u and the value is
 (seller trades iff u < F_S(q), buyer iff u >= F_B(p)), which is the same
 event as the value-space rule up to ties of measure zero.
 
-One kernel, ``_resolve``, decides every trade, for Monte Carlo chunks and for
-``run_trial`` (width 1, per-step trace).  Logs are scored in step order, the
-kernel's order, so a traced trial scores exactly as it does inside a run.
+One kernel, ``_resolve``, decides and scores every trade, for Monte Carlo
+chunks and for ``run_trial`` (width 1, per-step trace).
 
 Determinism: trials form lane blocks of ``_LANES`` (128).  Block b draws
 from one PCG64 generator, ``RandomStream(seed).substream(b)``, seeded by
@@ -58,15 +57,13 @@ import numpy as np
 from .distributions import Distribution
 from .errors import require_int
 from .policies import BalancedPolicy, PricePolicy
-from .streams import AgentStream, BUYER, SELLER
+from .streams import AgentStream, SELLER
 
 __all__ = [
     "RandomStream",
     "TradeLog",
     "MCEstimate",
     "run_trial",
-    "profit",
-    "welfare",
     "monte_carlo",
     "inventory_terminal",
 ]
@@ -155,24 +152,6 @@ class TradeLog:
                 raise ValueError(f"stock {int(self.stock_after[t])} above cap {stock_cap} at step {t}")
 
 
-def _step_sum(x: np.ndarray) -> float:
-    """Left-to-right sum, the order in which the kernel accumulates."""
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
-
-
-def profit(log: TradeLog) -> float:
-    """Income collected from buyers minus spend paid to sellers."""
-    income = _step_sum(log.prices[log.traded & (log.roles == BUYER)])
-    return income - _step_sum(log.prices[log.traded & (log.roles == SELLER)])
-
-
-def welfare(log: TradeLog) -> float:
-    """Values of sellers that kept their item plus buyers that got one."""
-    kept = (log.roles == SELLER) & ~log.traded
-    served = (log.roles == BUYER) & log.traded
-    return _step_sum(log.values[kept | served])
-
-
 def run_trial(
     stream: AgentStream,
     policy: PricePolicy,
@@ -182,7 +161,9 @@ def run_trial(
     *,
     stock_cap: int | None = None,
 ) -> TradeLog:
-    """Run one trial through the Monte Carlo kernel and return its trace.
+    """Run one trial through the Monte Carlo kernel and return its per-step
+    trace: prices, values, trades and stock levels.  The trial's profit and
+    welfare are those the kernel scores for it inside a run.
 
     ``uniforms`` is one row of shape ``(n,)`` in step order: step t values
     its agent at ``quantile(uniforms[t])``.  The row

@@ -132,10 +132,7 @@ def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
     if cfg.scenario == "stock-limited":
         stream = AgentStream.from_pattern(f"(SB)^{n // 2}")
         policy = StockLimitedPolicy(cfg.stock_cap, f_s, f_b)
-        online = monte_carlo(
-            stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n, 0),
-            stock_cap=cfg.stock_cap, objective="profit",
-        )
+        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n, 0), objective="profit")
         return online, benchmarks.profit_upper_bound_stocked(stream, cfg.stock_cap, f_b)
 
     if cfg.scenario == "balanced":

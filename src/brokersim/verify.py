@@ -145,7 +145,7 @@ def _suite_bounds(seed: int, trials: int) -> list[CheckLine]:
     for capacity in (1, 3):
         stream = AgentStream.from_pattern("(SB)^40")
         policy = StockLimitedPolicy(capacity, f_s, f_b)
-        est = monte_carlo(stream, policy, f_s, f_b, trials, seed, stock_cap=capacity)
+        est = monte_carlo(stream, policy, f_s, f_b, trials, seed)
         bound = benchmarks.profit_upper_bound_stocked(stream, capacity, f_b)
         checks.append(_line("bounds", f"stocked profit under bound K={capacity}", bound - est.mean + 3 * est.std_err))
 
@@ -180,4 +180,4 @@ def run_suite(name: str, seed: int = 42, trials: int = 20000) -> list[CheckLine]
     """Run one invariant suite and return its check lines."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _RUNNERS[name](require_int("seed", seed, 0), trials)
+    return _RUNNERS[name](require_int("seed", seed, 0), require_int("trials", trials, 2))

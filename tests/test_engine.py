@@ -20,16 +20,16 @@ from brokersim import (
     Uniform,
     inventory_terminal,
     monte_carlo,
-    profit,
     random_alpha_balanced,
     run_trial,
-    welfare,
 )
 from brokersim.engine import MCEstimate, TradeLog, _mc_samples
 from oracles import by_role_rank, resolve_trial_by_steps, variance_sum_by_generator
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
+# a seller on U(0, 1/4) always sells at q = 1/4 and a buyer on U(3/4, 1) always buys at p = 3/4
+LOW, HIGH, FORCED = Uniform(0.0, 0.25), Uniform(0.75, 1.0), FixedPricePolicy(0.25, 0.75)
 SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**90]
 # includes 2**32 - 1 and 2**32, where the spawn key grows from one word to two
 INDICES = (0, 1023, 1024, 8191, 8192, 10**6, 2**32 - 1, 2**32, 2**40 + 1025)
@@ -84,17 +84,18 @@ class TestRunTrial:
     def test_seller_at_support_max_always_buys(self, rng):
         log = run_trial(stream("S"), FixedPricePolicy(1.0, 0.5), U, U, rng.random(1))
         assert np.count_nonzero(log.traded & (log.roles == SELLER)) == 1
-        assert profit(log) == -1.0
+        assert np.all(_mc_samples(stream("S"), FixedPricePolicy(1.0, 0.5), U, U, 300, 1, None, "profit") == -1.0)
 
     def test_buyer_without_stock_never_trades(self, rng):
         log = run_trial(stream("B"), FixedPricePolicy(1.0, 0.0), U, U, rng.random(1))
         assert not log.traded[0]
-        assert welfare(log) == 0.0
+        assert np.all(_mc_samples(stream("B"), FixedPricePolicy(1.0, 0.0), U, U, 300, 1, None, "welfare") == 0.0)
 
     def test_hand_traced_sb(self, rng):
         log = run_trial(stream("SB"), FixedPricePolicy(1.0, 0.0), U, U, rng.random(2))
         assert log.traded.all()
-        assert profit(log) == pytest.approx(-1.0, abs=1e-15)
+        samples = _mc_samples(stream("SB"), FixedPricePolicy(1.0, 0.0), U, U, 300, 1, None, "profit")
+        assert samples == pytest.approx(np.full(300, -1.0), abs=1e-15)
 
     def test_declined_seller_logged_with_nan_price(self):
         pol = StockLimitedPolicy(1, U, U)
@@ -174,48 +175,30 @@ class TestValidate:
 
 
 class TestScoring:
+    """The kernel scores every trial; priors whose support forces each trade
+    make the score exact."""
+
     def test_empty_log(self):
-        log = TradeLog(
-            roles=np.zeros(0, np.uint8),
-            prices=np.zeros(0),
-            values=np.zeros(0),
-            traded=np.zeros(0, bool),
-            stock_after=np.zeros(0, np.int64),
-        )
-        assert profit(log) == 0.0
-        assert welfare(log) == 0.0
+        log = run_trial(stream("S^0"), FixedPricePolicy(0.5, 0.5), U, U, np.zeros(0))
         assert not log.stock_after.any()
+        for objective in ("profit", "welfare"):
+            assert np.all(_mc_samples(stream("S^0"), FixedPricePolicy(0.5, 0.5), U, U, 2, 1, None, objective) == 0.0)
 
     def test_profit_arithmetic(self):
-        log = TradeLog(
-            roles=np.array([0, 1], np.uint8),
-            prices=np.array([0.25, 0.75]),
-            values=np.array([0.1, 0.9]),
-            traded=np.array([True, True]),
-            stock_after=np.array([1, 0], np.int64),
-        )
-        assert profit(log) == pytest.approx(0.5)
+        samples = _mc_samples(stream("SB"), FORCED, LOW, HIGH, 300, 1, None, "profit")
+        assert samples == pytest.approx(np.full(300, 0.5))
 
     def test_unsold_inventory_cost(self):
-        log = TradeLog(
-            roles=np.array([0], np.uint8),
-            prices=np.array([0.25]),
-            values=np.array([0.1]),
-            traded=np.array([True]),
-            stock_after=np.array([1], np.int64),
-        )
-        assert profit(log) == pytest.approx(-0.25)
-        assert welfare(log) == 0.0
+        assert _mc_samples(stream("S"), FORCED, LOW, HIGH, 300, 1, None, "profit") == pytest.approx(np.full(300, -0.25))
+        assert np.all(_mc_samples(stream("S"), FORCED, LOW, HIGH, 300, 1, None, "welfare") == 0.0)
 
     def test_welfare_counts_kept_sellers_and_served_buyers(self):
-        log = TradeLog(
-            roles=np.array([0, 0, 1, 1], np.uint8),
-            prices=np.array([0.5, 0.5, 0.5, 0.5]),
-            values=np.array([0.7, 0.2, 0.9, 0.4]),
-            traded=np.array([False, True, True, False]),
-            stock_after=np.array([0, 1, 0, 0], np.int64),
-        )
-        assert welfare(log) == pytest.approx(0.7 + 0.9)
+        # the first seller keeps 0.7, the second sells, the first buyer gets one at 0.9
+        u = np.array([0.7, 0.2, 0.9, 0.4])
+        log = run_trial(stream("SSBB"), FixedPricePolicy(0.5, 0.5), U, U, u)
+        ref = resolve_trial_by_steps(stream("SSBB"), FixedPricePolicy(0.5, 0.5), U, U, u)
+        assert log.traded.tolist() == ref.traded == [False, True, True, False]
+        assert ref.welfare == pytest.approx(0.7 + 0.9)
 
 
 class TestMonteCarlo:
@@ -271,15 +254,13 @@ class TestMonteCarlo:
         policy = policy_factory()
         s = stream("(S^2 B)^7 S B^4")
         trials = 2 * engine_mod._LANES + 2  # two full lane blocks and a ragged third
-        for objective, score in (("profit", profit), ("welfare", welfare)):
+        refs = [
+            resolve_trial_by_steps(s, policy, f_s, f_b, RandomStream(909).trial_uniforms(i, len(s)), cap)
+            for i in range(trials)
+        ]
+        for objective in ("profit", "welfare"):
             vec = _mc_samples(s, policy, f_s, f_b, trials, 909, cap, objective)
-            scalar = np.array(
-                [
-                    score(run_trial(s, policy, f_s, f_b, RandomStream(909).trial_uniforms(i, len(s)), stock_cap=cap))
-                    for i in range(trials)
-                ]
-            )
-            assert np.array_equal(vec, scalar)
+            assert np.array_equal(vec, [getattr(ref, objective) for ref in refs])
 
     def test_same_seed_bitwise_identical(self):
         a = monte_carlo(stream("(SB)^20"), MedianPolicy(U, U), U, U, 500, 4242)
@@ -472,6 +453,6 @@ class TestCoupledRuns:
             for trial in range(200):
                 gen = np.random.default_rng(trial)
                 u_sellers, u_buyers = gen.random(s1.n_S), gen.random(s1.n_B)
-                p1 = profit(run_trial(s1, pol, U, U, by_role_rank(s1, u_sellers, u_buyers)))
-                p2 = profit(run_trial(s2, pol, U, U, by_role_rank(s2, u_sellers, u_buyers)))
+                p1 = resolve_trial_by_steps(s1, pol, U, U, by_role_rank(s1, u_sellers, u_buyers)).profit
+                p2 = resolve_trial_by_steps(s2, pol, U, U, by_role_rank(s2, u_sellers, u_buyers)).profit
                 assert p1 >= p2 - 1e-12

@@ -88,6 +88,7 @@ ENTRY_POINTS = [
     ("monte_carlo.trials", lambda v: monte_carlo(SB, FIXED, U, U, v, 0), 2),
     ("inventory_terminal.trials", lambda v: inventory_terminal(1, 2, U, U, v, 0), 2),
     ("ExperimentConfig.trials", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), trials=v), 100),
+    ("run_suite.trials", lambda v: run_suite("mhr", trials=v), 2),
     # seeds and substream indices >= 0
     ("RandomStream.seed", lambda v: RandomStream(v), 0),
     ("RandomStream.substream.index", lambda v: RandomStream(0).substream(v), 0),

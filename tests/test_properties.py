@@ -1,6 +1,8 @@
 """Derandomized property tests: on random short streams, caps, policies and
 objectives, the Monte Carlo kernel equals a step-by-step reference exactly,
-and every traced trial has a valid stock trajectory."""
+and every traced trial has a valid stock trajectory; stream patterns survive
+a parse/render round trip; FIFO matching is maximum past the lengths that
+``verify matching`` enumerates."""
 
 from unittest import mock
 
@@ -9,7 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brokersim.engine as engine_mod
-from brokersim import AgentStream, RandomStream, build_policy, parse_distribution, run_trial
+from brokersim import (
+    AgentStream,
+    RandomStream,
+    brute_force_max_matching,
+    build_policy,
+    expand,
+    fifo_match,
+    parse_distribution,
+    parse_pattern,
+    run_trial,
+)
 from brokersim.engine import _mc_samples
 from oracles import resolve_trial_by_steps
 
@@ -71,14 +83,43 @@ def test_kernel_equals_step_by_step_reference(market, objective, trials, seed, s
 
 
 @PROPERTY_SETTINGS
-@given(market=markets(), seed=st.integers(0, 2**40), slab=st.integers(1, 6))
-def test_trade_logs_are_valid(market, seed, slab):
+# trial indices up to 400 reach every lane of blocks 0-2 and lanes 0-16 of block 3
+@given(market=markets(), seed=st.integers(0, 2**40), trial=st.integers(0, 400), slab=st.integers(1, 6))
+def test_trade_logs_are_valid(market, seed, trial, slab):
     stream, policy, f_s, f_b, cap = market
     with mock.patch.object(engine_mod, "_STEP_SLAB", slab):
-        u = RandomStream(seed).trial_uniforms(0, len(stream))
+        u = RandomStream(seed).trial_uniforms(trial, len(stream))
         log = run_trial(stream, policy, f_s, f_b, u, stock_cap=cap)
     limits = [c for c in (policy.stock_limit, cap) if c is not None]
     log.validate(min(limits, default=None))
     ref = resolve_trial_by_steps(stream, policy, f_s, f_b, u, cap)
     assert np.array_equal(log.traded, ref.traded)
     assert np.array_equal(log.stock_after, ref.stock_after)
+
+
+COUNTS = st.integers(0, 4)
+ATOMS = st.sampled_from("SB")
+# a term is S, B, a repeated atom or a repeated group of terms, nested a few levels
+TERMS = st.recursive(
+    ATOMS | st.builds("{}^{}".format, ATOMS, COUNTS),
+    lambda inner: st.builds("({})^{}".format, st.lists(inner, min_size=1, max_size=3).map(" ".join), COUNTS),
+    max_leaves=10,
+)
+
+
+@PROPERTY_SETTINGS
+@given(terms=st.lists(TERMS, min_size=1, max_size=4), gap=st.sampled_from(["", " ", "  "]))
+def test_pattern_render_round_trip(terms, gap):
+    p = parse_pattern(gap.join(terms))
+    again = parse_pattern(p.render())
+    assert again.render() == p.render()
+    assert np.array_equal(expand(again).roles, expand(p).roles)
+    assert len(expand(p)) == p.length()
+
+
+@PROPERTY_SETTINGS
+# ``verify matching`` is exhaustive up to length 10, criterion 2 up to 12; the oracle stops at 20
+@given(roles=st.lists(st.sampled_from([0, 1]), min_size=13, max_size=20), cap=st.sampled_from([None, 1, 2, 3]))
+def test_fifo_matching_is_maximum_on_longer_streams(roles, cap):
+    stream = AgentStream(np.array(roles, dtype=np.uint8))
+    assert len(fifo_match(stream, cap)) == brute_force_max_matching(stream, cap)
