@@ -61,7 +61,6 @@ from .engine import (
 from .benchmarks import (
     adaptive_dp_oracle,
     azuma_bound,
-    balanced_profit_decomposition,
     profit_upper_bound_stocked,
     prophet_price,
     uniform_offline_policy,

@@ -28,7 +28,6 @@ import numpy as np
 
 from .distributions import Distribution, harmonic
 from .errors import require_int
-from .fractional import FractionalSolution
 from .matching import max_matchable
 from .streams import AgentStream, SELLER
 
@@ -38,7 +37,6 @@ __all__ = [
     "uniform_offline_policy",
     "prophet_price",
     "azuma_bound",
-    "balanced_profit_decomposition",
     "adaptive_dp_oracle",
 ]
 
@@ -91,23 +89,6 @@ def azuma_bound(m: int, alpha: int) -> float:
     m = require_int("m", m, 2)
     alpha = require_int("alpha", alpha, 1)
     return math.sqrt(2.0 * m * alpha * alpha * math.log(m)) * (1.0 - 2.0 / m) + 2.0 * alpha
-
-
-def balanced_profit_decomposition(m: int, sol: FractionalSolution, expected_leftover: float) -> float:
-    """Expected profit of the balanced policy on (S^alpha B)^m given the
-    expected leftover stock E[Z_m]:
-
-        (alpha*m*F_S(q) - E[Z_m]) * (p - q) - E[Z_m] * q
-
-    i.e. revenue on the expected number of completed trades minus the sunk
-    cost of unsold items.  Under the balance constraint the first factor
-    times (p - q) equals m * per_buyer_value.
-    """
-    m = require_int("m", m, 0)
-    if expected_leftover < 0.0:
-        raise ValueError(f"expected leftover must be nonnegative, got {expected_leftover}")
-    gross = m * sol.per_buyer_value
-    return gross - expected_leftover * (sol.p - sol.q) - expected_leftover * sol.q
 
 
 def _bellman_step(stay: np.ndarray, move: np.ndarray, prob: np.ndarray, cash: np.ndarray) -> np.ndarray:

@@ -10,12 +10,13 @@ Subcommands::
     brokersim experiment balanced --n-values 100,1000 --out ratios.csv
     brokersim verify mhr
 
-The default seed comes from the ``BROKERSIM_SEED`` environment variable
-(falling back to 42) and is parsed like ``--seed``.  ``--config FILE`` reads
-``key = value`` lines (``#`` comments allowed); each entry is parsed as the
-flag ``--key=value`` placed after the command line, so it overrides that flag,
-may supply a required one, and goes through the flag's own type and choices.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Only ``simulate`` and ``experiment`` sample, and only they take ``--seed``; its
+default comes from ``BROKERSIM_SEED`` (falling back to 42) and is parsed like
+``--seed``.  ``--config FILE`` reads ``key = value`` lines (``#`` comments
+allowed); each entry is parsed as the flag ``--key=value`` placed after the
+command line, so it overrides that flag, may supply a required one, and goes
+through the flag's own type and choices.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="brokersim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, run):
-        # a string default goes through type=int, so a bad $BROKERSIM_SEED is a usage error
-        p.add_argument(
-            "--seed", type=int, default=os.environ.get(_ENV_SEED, "42"), help=f"defaults to ${_ENV_SEED} or 42"
-        )
+    def add_common(p, run, seeded=False):
+        if seeded:
+            # a string default goes through type=int, so a bad $BROKERSIM_SEED is a usage error
+            p.add_argument("--seed", type=int, default=os.environ.get(_ENV_SEED, "42"), help=f"defaults to ${_ENV_SEED} or 42")
         p.add_argument("--config", default=None, help="key=value file overriding flags")
         p.set_defaults(run=run)
 
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--stock-cap", dest="stock_cap", type=int, default=None)
     sim.add_argument("--objective", choices=_OBJECTIVES, default="profit")
     sim.add_argument("--trace", default=None, help="write a per-step CSV trace of trial 0")
-    add_common(sim, _cmd_simulate)
+    add_common(sim, _cmd_simulate, seeded=True)
 
     frac = sub.add_parser("solve-fractional", help="optimal two-price program for balanced traffic")
     frac.add_argument("--alpha", type=int, required=True)
@@ -108,11 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if field.name not in ("scenario", "n_values", "seed"):  # seed comes from add_common
             exp.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default))
     exp.add_argument("--out", default="experiment.csv")
-    add_common(exp, _cmd_experiment)
+    add_common(exp, _cmd_experiment, seeded=True)
 
     ver = sub.add_parser("verify", help="run an invariant suite; nonzero exit on failure")
     ver.add_argument("suite", choices=SUITES)
-    ver.add_argument("--trials", type=int, default=20000)
     add_common(ver, _cmd_verify)
 
     return parser
@@ -187,7 +186,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lines = run_suite(args.suite, seed=args.seed, trials=args.trials)
+    lines = run_suite(args.suite)
     failed = 0
     for line in lines:
         print(line.render())

@@ -1,5 +1,5 @@
 """Execution engine: run policies against streams, trace single trials,
-aggregate Monte Carlo estimates of profit and welfare.
+aggregate Monte Carlo estimates of profit and welfare, or their exact means.
 
 Trade semantics per step t (stock starts at 0):
 
@@ -233,6 +233,33 @@ def _price_schedule(policy, stream, f_s, f_b, stock_cap):
     thresh = np.full(len(stream), float(f_b.cdf(policy.p)))
     thresh[seller] = f_s.cdf(price[seller])
     return price, thresh, min(caps, default=len(stream) + 1)
+
+
+def _expected_outcome(stream, policy, f_s, f_b, stock_cap=None):
+    """Exact (E[profit], E[welfare], E[leftover stock]) of one trial.
+
+    Prices are fixed in advance, so stock is a Markov chain on 0..min(cap,
+    n_S): at step t a seller moves up with probability ``thresh[t]``, paying
+    q, and a buyer down with probability 1 - ``thresh[t]``, collecting p.
+    """
+    price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
+    top = min(cap, stream.n_S)
+    chain = np.zeros((2, top + 1))  # rows P[stock = k] and E[profit so far * 1{stock = k}]
+    chain[0, 0], welfare = 1.0, 0.0
+    for role, p, th in zip(stream.roles.tolist(), price.tolist(), thresh.tolist()):
+        if role == SELLER:
+            # stock never reaches n_S before the last seller, so P[stock = top] > 0 only at the cap
+            at_cap = chain[0, top]
+            welfare += (1.0 - at_cap) * f_s.upper_partial_mean(p) + at_cap * f_s.mean
+            src, dst, rate, pay = slice(0, top), slice(1, None), th, -p
+        else:
+            welfare += (1.0 - chain[0, 0]) * f_b.upper_partial_mean(p)
+            src, dst, rate, pay = slice(1, None), slice(0, top), 1.0 - th, p
+        moved = rate * chain[:, src]
+        chain[:, src] -= moved
+        chain[:, dst] += moved
+        chain[1, dst] += pay * moved[0]
+    return math.fsum(chain[1]), float(welfare), float(chain[0] @ np.arange(top + 1))
 
 
 def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):

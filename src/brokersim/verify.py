@@ -2,7 +2,7 @@
 
 Each suite runs a family of checks and reports one line per check with the
 observed slack (how far the inequality is from binding, nonnegative when it
-holds).  Suites are deterministic given the seed.
+holds).  Every check is exact, not sampled, so suites are deterministic.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from .distributions import (
     harmonic,
     top_k_sum_bound,
 )
-from .engine import RandomStream, inventory_terminal, monte_carlo
-from .errors import require_int
+from .engine import _expected_outcome
 from .fractional import certify_bounds, solve_fractional
 from .matching import brute_force_max_matching, fifo_match
-from .policies import MedianPolicy, StockLimitedPolicy
+from .policies import BalancedPolicy, MedianPolicy, StockLimitedPolicy
 from .streams import AgentStream, enumerate_alpha_balanced
 
 __all__ = ["CheckLine", "SUITES", "run_suite"]
@@ -57,7 +56,7 @@ def _line(suite, name, slack, tol=0.0):
     return CheckLine(suite, name, bool(slack >= -tol), float(slack))
 
 
-def _suite_mhr(seed: int, trials: int) -> list[CheckLine]:
+def _suite_mhr() -> list[CheckLine]:
     checks = []
     grid = _REGULARITY_U
     for d in _MHR_SET:
@@ -89,7 +88,7 @@ def _suite_mhr(seed: int, trials: int) -> list[CheckLine]:
     return checks
 
 
-def _suite_matching(seed: int, trials: int) -> list[CheckLine]:
+def _suite_matching() -> list[CheckLine]:
     checks = []
     max_len = 10
     for capacity in (1, 2, 3, None):
@@ -105,7 +104,7 @@ def _suite_matching(seed: int, trials: int) -> list[CheckLine]:
     return checks
 
 
-def _suite_adaptive(seed: int, trials: int) -> list[CheckLine]:
+def _suite_adaptive() -> list[CheckLine]:
     checks = []
     f_s = f_b = Uniform(0.0, 1.0)
     grid = 1024
@@ -120,49 +119,44 @@ def _suite_adaptive(seed: int, trials: int) -> list[CheckLine]:
     return checks
 
 
-def _suite_azuma(seed: int, trials: int) -> list[CheckLine]:
+def _suite_azuma() -> list[CheckLine]:
     checks = []
     f_s = f_b = Uniform(0.0, 1.0)
     for alpha in (1, 2):
+        policy = BalancedPolicy(alpha, f_s, f_b)
         for m in (10, 100):
-            est = inventory_terminal(alpha, m, f_s, f_b, trials, seed)
-            bound = benchmarks.azuma_bound(m, alpha)
-            slack = bound + 3.0 * est.std_err - est.mean
+            stream = AgentStream.from_pattern(f"(S^{alpha} B)^{m}")
+            slack = benchmarks.azuma_bound(m, alpha) - _expected_outcome(stream, policy, f_s, f_b)[2]
             checks.append(_line("azuma", f"E[Z_m]<=bound m={m} alpha={alpha}", slack))
     return checks
 
 
-def _suite_bounds(seed: int, trials: int) -> list[CheckLine]:
+def _suite_bounds() -> list[CheckLine]:
     checks = []
     f_s = f_b = Uniform(0.0, 1.0)
 
+    median = MedianPolicy(f_s, f_b)
     for text in ("SB^8", "(SB)^20", "S^10 B^10"):
         stream = AgentStream.from_pattern(text)
-        est = monte_carlo(stream, MedianPolicy(f_s, f_b), f_s, f_b, trials, seed, objective="welfare")
-        bound = benchmarks.welfare_upper_bound(stream, f_s, f_b)
-        checks.append(_line("bounds", f"median welfare under bound on {text}", bound - est.mean + 3 * est.std_err))
+        slack = benchmarks.welfare_upper_bound(stream, f_s, f_b) - _expected_outcome(stream, median, f_s, f_b)[1]
+        checks.append(_line("bounds", f"median welfare under bound on {text}", slack))
 
+    stream = AgentStream.from_pattern("(SB)^40")
     for capacity in (1, 3):
-        stream = AgentStream.from_pattern("(SB)^40")
-        policy = StockLimitedPolicy(capacity, f_s, f_b)
-        est = monte_carlo(stream, policy, f_s, f_b, trials, seed)
-        bound = benchmarks.profit_upper_bound_stocked(stream, capacity, f_b)
-        checks.append(_line("bounds", f"stocked profit under bound K={capacity}", bound - est.mean + 3 * est.std_err))
+        profit = _expected_outcome(stream, StockLimitedPolicy(capacity, f_s, f_b), f_s, f_b)[0]
+        slack = benchmarks.profit_upper_bound_stocked(stream, capacity, f_b) - profit
+        checks.append(_line("bounds", f"stocked profit under bound K={capacity}", slack))
 
     for alpha in (1, 2):
         sol = solve_fractional(f_s, f_b, alpha)
         for check in certify_bounds(sol, f_s, f_b, m=100):
             checks.append(CheckLine("bounds", f"certificate {check.name} alpha={alpha}", check.passed, check.slack))
 
-    rng = RandomStream(seed).substream(0)
+    stats = Uniform(0.0, 1.0).stats()
     for m, k in ((10, 3), (100, 10), (1000, 50)):
-        draws = np.sort(rng.random((2000, m)), axis=1)
-        top = draws[:, m - k :].sum(axis=1)
-        est_mean = float(np.mean(top))
-        se = float(np.std(top, ddof=1) / math.sqrt(top.shape[0]))
-        stats = Uniform(0.0, 1.0).stats()
-        bound = top_k_sum_bound(stats.mean, stats.std, m, k)
-        checks.append(_line("bounds", f"top-{k}-of-{m} sum under bound", bound - est_mean + 3 * se))
+        # the k largest of m U(0,1) draws: E[U_(j)] = j / (m + 1), summed over j > m - k
+        slack = top_k_sum_bound(stats.mean, stats.std, m, k) - k * (2 * m - k + 1) / (2 * (m + 1))
+        checks.append(_line("bounds", f"top-{k}-of-{m} sum under bound", slack))
     return checks
 
 
@@ -176,8 +170,8 @@ _RUNNERS = {
 SUITES = tuple(_RUNNERS)
 
 
-def run_suite(name: str, seed: int = 42, trials: int = 20000) -> list[CheckLine]:
+def run_suite(name: str) -> list[CheckLine]:
     """Run one invariant suite and return its check lines."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _RUNNERS[name](require_int("seed", seed, 0), require_int("trials", trials, 2))
+    return _RUNNERS[name]()

@@ -66,7 +66,7 @@ def kappa_by_flow(stream):
     return int(min(sellers_before[t] + buyers_after[t] for t in range(n + 1)))
 
 
-def balanced_online_profit_expectation(m, p, q, f_s_cdf_q, f_b_sf_p, trials_exact=None):
+def balanced_online_profit_expectation(m, p, q, f_s_cdf_q, f_b_sf_p):
     """Exact E[profit] of constant prices on (S B)^m by state enumeration.
 
     Only used for tiny m; evolves the full stock distribution step by step.

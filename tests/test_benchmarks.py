@@ -13,7 +13,6 @@ from brokersim import (
     Uniform,
     adaptive_dp_oracle,
     azuma_bound,
-    balanced_profit_decomposition,
     enumerate_alpha_balanced,
     harmonic,
     inventory_terminal,
@@ -26,6 +25,7 @@ from brokersim import (
     welfare_upper_bound,
 )
 
+from brokersim.engine import _expected_outcome
 from oracles import adaptive_dp_by_stock_loop
 
 U = Uniform(0.0, 1.0)
@@ -130,34 +130,30 @@ class TestAzumaBound:
 
 
 class TestBalancedProfitDecomposition:
-    def test_full_liquidation_recovers_fractional_value(self):
-        sol = solve_fractional(U, U, 1)
-        assert balanced_profit_decomposition(10, sol, 0.0) == pytest.approx(10 * 0.125, abs=1e-9)
+    """The exact balanced profit of the stock chain, against the paper's
+    decomposition E[profit] = m * per_buyer_value - E[Z_m] * p."""
 
     def test_single_block_value(self):
-        sol = solve_fractional(U, U, 1)
-        assert balanced_profit_decomposition(1, sol, 0.1875) == pytest.approx(-0.015625, abs=1e-9)
+        # p=0.75, q=0.25: P(buy)=1/4, then P(no sale)=3/4 -> E[Z_1]=3/16
+        profit, _, leftover = _expected_outcome(stream("SB"), BalancedPolicy(1, U, U), U, U)
+        assert (profit, leftover) == (-0.015625, 0.1875)
 
     def test_m_zero(self):
-        sol = solve_fractional(U, U, 1)
-        assert balanced_profit_decomposition(0, sol, 0.0) == 0.0
+        assert _expected_outcome(stream("(S B)^0"), BalancedPolicy(1, U, U), U, U) == (0.0, 0.0, 0.0)
 
-    def test_leftover_validated(self):
-        sol = solve_fractional(U, U, 1)
-        with pytest.raises(ValueError):
-            balanced_profit_decomposition(1, sol, -0.5)
+    def test_full_liquidation_recovers_fractional_value(self):
+        # the leftover stock's cost E[Z_m] * p is all that separates the profit from m * per_buyer_value
+        for alpha in (1, 2):
+            sol = solve_fractional(U, U, alpha)
+            for m in (10, 100, 1000):
+                profit, _, leftover = _expected_outcome(stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U), U, U)
+                assert profit == pytest.approx(m * sol.per_buyer_value - leftover * sol.p, rel=1e-12)
 
     def test_matches_simulated_profit(self):
-        # decomposition evaluated at the simulated E[Z_m] reproduces E[profit]
         m, alpha = 200, 1
-        sol = solve_fractional(U, U, alpha)
-        ez = inventory_terminal(alpha, m, U, U, 40_000, 23)
-        est = monte_carlo(
-            stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U), U, U, 40_000, 29
-        )
-        predicted = balanced_profit_decomposition(m, sol, ez.mean)
-        tol = 3 * (est.std_err + sol.p * ez.std_err)
-        assert abs(est.mean - predicted) <= tol
+        s, pol = stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U)
+        est = monte_carlo(s, pol, U, U, 40_000, 29)
+        assert abs(est.mean - _expected_outcome(s, pol, U, U)[0]) <= 3 * est.std_err
 
 
 class TestAdaptiveOracle:

@@ -191,9 +191,28 @@ class TestVerify:
     def test_certificate_lines_keep_the_certificates_verdict(self, monkeypatch):
         # a slack inside certify_bounds' -1e-12 tolerance passes there, so it passes here too
         monkeypatch.setattr(verify, "certify_bounds", lambda *a, **k: (CheckResult("value-lower-bound", True, -5e-13),))
-        lines = [c for c in verify.run_suite("bounds", seed=1, trials=100) if c.name.startswith("certificate")]
+        lines = [c for c in verify.run_suite("bounds") if c.name.startswith("certificate")]
         assert len(lines) == 2
         assert all(c.passed and c.render().endswith("PASS") for c in lines)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "azuma", "--trials", "5"],
+            ["verify", "bounds", "--seed", "3"],
+            ["solve-fractional", "--alpha", "2", "--seller-dist", "uniform:0,1", "--buyer-dist", "uniform:0,1", "--seed", "1"],
+        ],
+    )
+    def test_commands_that_never_sample_take_no_seed_or_trials(self, capsys, argv):
+        assert exit_code(argv) == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_seed_in_a_config_for_verify_is_a_usage_error(self, capsys, tmp_path):
+        conf = tmp_path / "seeded.conf"
+        conf.write_text("seed = 3\n")
+        code, out, err = run(["verify", "mhr", "--config", str(conf)], capsys)
+        assert code == 2 and out == ""
+        assert "'seed'" in err
 
 
 class TestConfigAndEnv:
@@ -268,7 +287,7 @@ class TestConfigAndEnv:
 
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("BROKERSIM_SEED", "abc")
-        assert exit_code(["verify", "matching"]) == 2
+        assert exit_code(TestSimulate.ARGS[:-2]) == 2  # drop --seed 6
         assert "--seed" in capsys.readouterr().err
 
     def test_parse_config_types(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -21,10 +22,17 @@ from brokersim import (
     inventory_terminal,
     monte_carlo,
     random_alpha_balanced,
+    build_policy,
     run_trial,
 )
-from brokersim.engine import MCEstimate, TradeLog, _mc_samples
-from oracles import by_role_rank, resolve_trial_by_steps, variance_sum_by_generator
+from brokersim.engine import MCEstimate, TradeLog, _expected_outcome, _mc_samples
+from oracles import (
+    balanced_online_profit_expectation,
+    by_role_rank,
+    resolve_trial_by_steps,
+    tail_value_by_quadrature,
+    variance_sum_by_generator,
+)
 
 U = Uniform(0.0, 1.0)
 E = Exponential(1.0)
@@ -456,3 +464,93 @@ class TestCoupledRuns:
                 p1 = resolve_trial_by_steps(s1, pol, U, U, by_role_rank(s1, u_sellers, u_buyers)).profit
                 p2 = resolve_trial_by_steps(s2, pol, U, U, by_role_rank(s2, u_sellers, u_buyers)).profit
                 assert p1 >= p2 - 1e-12
+
+
+def outcome_by_patterns(s, policy, f_s, f_b, stock_cap):
+    """(E[profit], E[welfare], E[leftover]) by enumerating which side of its
+    acceptance quantile th each step's uniform falls on: below with
+    probability th (u = th/2), above with 1 - th (u = (1 + th)/2).  Each
+    pattern is resolved by ``resolve_trial_by_steps``; a kept or obtained
+    value is scored as its conditional mean given that side."""
+    q = policy.seller_prices(s.n_S).tolist()
+    steps = []  # per step: (th, mean value below th, mean value above th)
+    for role, j in zip(s.roles.tolist(), np.cumsum(s.roles == SELLER).tolist()):
+        d, price = (f_s, q[j - 1]) if role == SELLER else (f_b, float(policy.p))
+        th = float(d.cdf(price))
+        tail, mean = tail_value_by_quadrature(d, price), tail_value_by_quadrature(d, d.support()[0])
+        steps.append((th, (mean - tail) / th if th > 0 else 0.0, tail / (1 - th) if th < 1 else 0.0))
+    profit = welfare = leftover = 0.0
+    for above in itertools.product((False, True), repeat=len(s)):
+        weight = math.prod(1 - th if hi else th for (th, _, _), hi in zip(steps, above))
+        if weight == 0.0:
+            continue
+        u = [(1 + th) / 2 if hi else th / 2 for (th, _, _), hi in zip(steps, above)]
+        trial = resolve_trial_by_steps(s, policy, f_s, f_b, u, stock_cap=stock_cap)
+        values = 0.0
+        for role, traded, hi, (_, low_mean, high_mean) in zip(s.roles.tolist(), trial.traded, above, steps):
+            if (role == SELLER) != traded:  # a seller who kept her item or a buyer who got one
+                values += high_mean if hi else low_mean
+        profit += weight * trial.profit
+        welfare += weight * values
+        leftover += weight * trial.leftover
+    return profit, welfare, leftover
+
+
+class TestExpectedOutcome:
+    """``_expected_outcome``, the exact stock chain, against brute force,
+    a state-enumeration oracle and reference means."""
+
+    @pytest.mark.parametrize(
+        "spec,f_s,f_b,cap",
+        [
+            ("median", U, U, None),
+            ("fixed:0.3,0.6", E, E, 2),
+            ("decay:0.05", U, E, None),
+            ("stock:2", U, U, None),
+            ("quantile:3,2", U, U, 1),
+        ],
+    )
+    def test_matches_every_accept_reject_pattern(self, spec, f_s, f_b, cap):
+        rng = np.random.default_rng(17)
+        policy = build_policy(spec, f_s, f_b)
+        for n in (10, *rng.integers(1, 10, size=9)):
+            s = AgentStream(rng.integers(0, 2, size=n).astype(np.uint8))
+            profit, welfare, leftover = _expected_outcome(s, policy, f_s, f_b, cap)
+            ref = outcome_by_patterns(s, policy, f_s, f_b, cap)
+            assert profit == pytest.approx(ref[0], rel=1e-12, abs=1e-14)
+            assert welfare == pytest.approx(ref[1], rel=1e-8, abs=1e-10)
+            assert leftover == pytest.approx(ref[2], rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("spec,f_s,f_b", [("median", U, U), ("balanced:1", U, U), ("fixed:0.3,0.6", E, E)])
+    @pytest.mark.parametrize("m", (1, 5, 20))
+    def test_profit_on_alternating_streams_matches_state_enumeration(self, spec, f_s, f_b, m):
+        policy = build_policy(spec, f_s, f_b)
+        q, p = float(policy.seller_prices(1)[0]), float(policy.p)
+        ref = balanced_online_profit_expectation(m, p, q, float(f_s.cdf(q)), 1.0 - float(f_b.cdf(p)))
+        assert _expected_outcome(stream(f"(SB)^{m}"), policy, f_s, f_b)[0] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "text,spec,f_s,f_b,cap,which,expected",
+        [
+            ("(SSB)^40", "median", U, U, None, 0, -10.154500417),
+            ("S^4096 B^4096", "decay:0.05", U, U, None, 0, 16.1081612069),
+            ("(S^2 B)^1500", "balanced:2", U, U, None, 0, 235.7867510537),
+            ("(SB)^50", "stock:2", U, U, None, 0, 1.8079051872),
+            ("(S^2 B)^200", "balanced:2", U, E, None, 0, 54.53009481),
+            ("S^128 B^128", "decay:0.05", U, U, 3, 0, 1.043876639),
+            ("(S^4 B)^64", "fixed:0.3,0.6", E, E, 2, 0, 9.559775906),
+            ("SB^8", "median", U, U, None, 1, 0.74853515625),
+            ("(SB)^20", "median", U, U, None, 1, 13.447425678),
+            ("S^10 B^10", "median", U, U, None, 1, 6.839261055),
+            ("(SB)^40", "stock:1", U, U, None, 0, 1.9017319797),
+            ("(SB)^40", "stock:3", U, U, None, 0, 1.0407896140),
+            ("(S B)^10", "balanced:1", U, U, None, 2, 1.1149802642),
+            ("(S B)^100", "balanced:1", U, U, None, 2, 4.4083893443),
+            ("(S^2 B)^10", "balanced:2", U, U, None, 2, 1.3189113981),
+            ("(S^2 B)^100", "balanced:2", U, U, None, 2, 5.1278427016),
+        ],
+    )
+    def test_reference_means(self, text, spec, f_s, f_b, cap, which, expected):
+        # which: 0 profit, 1 welfare, 2 leftover stock
+        outcome = _expected_outcome(stream(text), build_policy(spec, f_s, f_b), f_s, f_b, cap)
+        assert outcome[which] == pytest.approx(expected, rel=1e-9)

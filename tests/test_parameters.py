@@ -20,7 +20,6 @@ from brokersim import (
     Uniform,
     adaptive_dp_oracle,
     azuma_bound,
-    balanced_profit_decomposition,
     certify_bounds,
     brute_force_max_matching,
     enumerate_alpha_balanced,
@@ -32,7 +31,6 @@ from brokersim import (
     prophet_price,
     random_alpha_balanced,
     run_experiment,
-    run_suite,
     run_trial,
     solve_fractional,
     top_k_sum_bound,
@@ -81,14 +79,12 @@ ENTRY_POINTS = [
     ("top_k_sum_bound.m", lambda v: top_k_sum_bound(0.5, 0.3, v, 3), 3),
     ("adaptive_dp_oracle.price_grid", lambda v: adaptive_dp_oracle(SB, U, U, price_grid=v), 2),
     ("certify_bounds.m", lambda v: certify_bounds(SOL, U, U, m=v), 1),
-    ("balanced_profit_decomposition.m", lambda v: balanced_profit_decomposition(v, SOL, 0.0), 0),
     ("ExperimentConfig.n_values", lambda v: ExperimentConfig(scenario="balanced", n_values=(v,), trials=100), 1),
     ("profit-sqrt-n.n", lambda v: run_experiment(ExperimentConfig(scenario="profit-sqrt-n", n_values=(v,), trials=100)), 2),
     # trials
     ("monte_carlo.trials", lambda v: monte_carlo(SB, FIXED, U, U, v, 0), 2),
     ("inventory_terminal.trials", lambda v: inventory_terminal(1, 2, U, U, v, 0), 2),
     ("ExperimentConfig.trials", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), trials=v), 100),
-    ("run_suite.trials", lambda v: run_suite("mhr", trials=v), 2),
     # seeds and substream indices >= 0
     ("RandomStream.seed", lambda v: RandomStream(v), 0),
     ("RandomStream.substream.index", lambda v: RandomStream(0).substream(v), 0),
@@ -96,7 +92,6 @@ ENTRY_POINTS = [
     ("RandomStream.trial_uniforms.n", lambda v: RandomStream(0).trial_uniforms(0, v), 0),
     ("monte_carlo.seed", lambda v: monte_carlo(SB, FIXED, U, U, 10, v), 0),
     ("ExperimentConfig.seed", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), seed=v), 0),
-    ("run_suite.seed", lambda v: run_suite("mhr", seed=v), 0),
 ]
 IDS = [name for name, _, _ in ENTRY_POINTS]
 
