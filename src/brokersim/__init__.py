@@ -54,7 +54,7 @@ from .engine import (
     MCEstimate,
     RandomStream,
     TradeLog,
-    inventory_terminal,
+    expected_outcome,
     monte_carlo,
     run_trial,
 )

@@ -17,7 +17,8 @@ Draws are inverse-transform: step t consumes one uniform u and the value is
 event as the value-space rule up to ties of measure zero.
 
 One kernel, ``_resolve``, decides and scores every trade, for Monte Carlo
-chunks and for ``run_trial`` (width 1, per-step trace).
+chunks and for ``run_trial`` (width 1, per-step trace).  ``expected_outcome``
+gives the exact means from the stock Markov chain on the same price schedule.
 
 Determinism: trials form lane blocks of ``_LANES`` (128).  Block b draws
 from one PCG64 generator, ``RandomStream(seed).substream(b)``, seeded by
@@ -56,7 +57,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import require_int
-from .policies import BalancedPolicy, PricePolicy
+from .policies import PricePolicy
 from .streams import AgentStream, SELLER
 
 __all__ = [
@@ -65,7 +66,7 @@ __all__ = [
     "MCEstimate",
     "run_trial",
     "monte_carlo",
-    "inventory_terminal",
+    "expected_outcome",
 ]
 
 _TRIAL_CHUNK = 8192
@@ -183,7 +184,7 @@ def run_trial(
     def draws(start, depth):
         return row[start : start + depth, None]
 
-    _, traded, stock_after = _resolve(stream, price, thresh, cap, f_s, f_b, (1,), draws, "leftover")
+    _, traded, stock_after = _resolve(stream, price, thresh, cap, f_s, f_b, (1,), draws, "profit")
 
     values = np.empty(len(stream))
     values[seller] = f_s.quantile(row[seller])
@@ -220,46 +221,52 @@ class MCEstimate:
 
 def _price_schedule(policy, stream, f_s, f_b, stock_cap):
     """Posted price and its acceptance quantile per position, and the effective
-    stock cap: the tighter of the policy's limit and ``stock_cap``, else n + 1.
+    stock cap: the tightest of the policy's limit, ``stock_cap`` and n_S.
+    Stock never exceeds n_S, so a cap at or above it never binds.
 
     Prices depend on seller ordinals only, never on trade outcomes; the
     policy's stock limit binds in the kernel through the effective cap.
     """
     stock_cap = None if stock_cap is None else require_int("stock_cap", stock_cap, 1)
-    caps = [c for c in (policy.stock_limit, stock_cap) if c is not None]
+    caps = [c for c in (policy.stock_limit, stock_cap, stream.n_S) if c is not None]
     seller = stream.roles == SELLER
     price = np.full(len(stream), float(policy.p))
     price[seller] = policy.seller_prices(stream.n_S)
     thresh = np.full(len(stream), float(f_b.cdf(policy.p)))
     thresh[seller] = f_s.cdf(price[seller])
-    return price, thresh, min(caps, default=len(stream) + 1)
+    return price, thresh, min(caps)
 
 
-def _expected_outcome(stream, policy, f_s, f_b, stock_cap=None):
+def expected_outcome(
+    stream: AgentStream,
+    policy: PricePolicy,
+    f_s: Distribution,
+    f_b: Distribution,
+    stock_cap: int | None = None,
+) -> tuple[float, float, float]:
     """Exact (E[profit], E[welfare], E[leftover stock]) of one trial.
 
-    Prices are fixed in advance, so stock is a Markov chain on 0..min(cap,
-    n_S): at step t a seller moves up with probability ``thresh[t]``, paying
-    q, and a buyer down with probability 1 - ``thresh[t]``, collecting p.
+    Prices are fixed in advance, so stock is a Markov chain on 0..cap: at
+    step t a seller moves up with probability ``thresh[t]``, paying q, and a
+    buyer down with probability 1 - ``thresh[t]``, collecting p.
     """
     price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
-    top = min(cap, stream.n_S)
-    chain = np.zeros((2, top + 1))  # rows P[stock = k] and E[profit so far * 1{stock = k}]
+    chain = np.zeros((2, cap + 1))  # rows P[stock = k] and E[profit so far * 1{stock = k}]
     chain[0, 0], welfare = 1.0, 0.0
     for role, p, th in zip(stream.roles.tolist(), price.tolist(), thresh.tolist()):
         if role == SELLER:
-            # stock never reaches n_S before the last seller, so P[stock = top] > 0 only at the cap
-            at_cap = chain[0, top]
+            # stock is below n_S before the last seller, so P[stock = cap] > 0 here only if cap < n_S
+            at_cap = chain[0, cap]
             welfare += (1.0 - at_cap) * f_s.upper_partial_mean(p) + at_cap * f_s.mean
-            src, dst, rate, pay = slice(0, top), slice(1, None), th, -p
+            src, dst, rate, pay = slice(0, cap), slice(1, None), th, -p
         else:
             welfare += (1.0 - chain[0, 0]) * f_b.upper_partial_mean(p)
-            src, dst, rate, pay = slice(1, None), slice(0, top), 1.0 - th, p
+            src, dst, rate, pay = slice(1, None), slice(0, cap), 1.0 - th, p
         moved = rate * chain[:, src]
         chain[:, src] -= moved
         chain[:, dst] += moved
         chain[1, dst] += pay * moved[0]
-    return math.fsum(chain[1]), float(welfare), float(chain[0] @ np.arange(top + 1))
+    return math.fsum(chain[1]), float(welfare), float(chain[0] @ np.arange(cap + 1))
 
 
 def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
@@ -271,14 +278,13 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
     ``_STEP_SLAB``, and per-trial results do not depend on the slab size.
     Dead buyers are skipped (see the module docstring), so ``draws`` is
     called with increasing starts that may jump past steps.  Returns the
-    per-trial objective ("profit", "welfare" or "leftover" stock) and, for a
-    single trial (shape ``(1,)``), its per-step traded flags and stock levels
-    (empty arrays otherwise).
+    per-trial objective ("profit" or "welfare") and, for a single trial
+    (shape ``(1,)``), its per-step traded flags and stock levels (empty
+    arrays otherwise).
     """
     n = len(stream)
     trace = shape == (1,)
-    # stock never exceeds n_S, so a cap above it can never bind
-    capped = cap <= stream.n_S
+    capped = cap < stream.n_S
     need_values = objective == "welfare"
     stock = np.zeros(shape, dtype=np.int64)
     spend = np.zeros(shape)
@@ -320,13 +326,7 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
                 traded[slab_start + k] = trade[0]
                 stock_after[slab_start + k] = stock[0]
         slab_start = stop
-    if objective == "profit":
-        out = income - spend
-    elif objective == "welfare":
-        out = wsum
-    else:
-        out = stock
-    return out, traded, stock_after
+    return (wsum if need_values else income - spend), traded, stock_after
 
 
 def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
@@ -382,25 +382,3 @@ def monte_carlo(
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     samples = _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective)
     return MCEstimate.from_samples(samples)
-
-
-def inventory_terminal(
-    alpha: int,
-    m: int,
-    f_s: Distribution,
-    f_b: Distribution,
-    trials: int,
-    seed: int,
-) -> MCEstimate:
-    """Expected leftover stock of the balanced policy on (S^alpha B)^m.
-
-    The stock trajectory sampled here is the inventory random walk whose
-    terminal value the analytic concentration bound caps.
-    """
-    alpha = require_int("alpha", alpha, 1)
-    m = require_int("m", m, 0)
-    stream = AgentStream.from_pattern(f"(S^{alpha} B)^{m}")
-    policy = BalancedPolicy(alpha, f_s, f_b)
-    samples = _mc_samples(stream, policy, f_s, f_b, trials, seed, None, "leftover")
-    return MCEstimate.from_samples(samples)
-

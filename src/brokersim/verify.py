@@ -23,7 +23,7 @@ from .distributions import (
     harmonic,
     top_k_sum_bound,
 )
-from .engine import _expected_outcome
+from .engine import expected_outcome
 from .fractional import certify_bounds, solve_fractional
 from .matching import brute_force_max_matching, fifo_match
 from .policies import BalancedPolicy, MedianPolicy, StockLimitedPolicy
@@ -126,7 +126,7 @@ def _suite_azuma() -> list[CheckLine]:
         policy = BalancedPolicy(alpha, f_s, f_b)
         for m in (10, 100):
             stream = AgentStream.from_pattern(f"(S^{alpha} B)^{m}")
-            slack = benchmarks.azuma_bound(m, alpha) - _expected_outcome(stream, policy, f_s, f_b)[2]
+            slack = benchmarks.azuma_bound(m, alpha) - expected_outcome(stream, policy, f_s, f_b)[2]
             checks.append(_line("azuma", f"E[Z_m]<=bound m={m} alpha={alpha}", slack))
     return checks
 
@@ -138,12 +138,12 @@ def _suite_bounds() -> list[CheckLine]:
     median = MedianPolicy(f_s, f_b)
     for text in ("SB^8", "(SB)^20", "S^10 B^10"):
         stream = AgentStream.from_pattern(text)
-        slack = benchmarks.welfare_upper_bound(stream, f_s, f_b) - _expected_outcome(stream, median, f_s, f_b)[1]
+        slack = benchmarks.welfare_upper_bound(stream, f_s, f_b) - expected_outcome(stream, median, f_s, f_b)[1]
         checks.append(_line("bounds", f"median welfare under bound on {text}", slack))
 
     stream = AgentStream.from_pattern("(SB)^40")
     for capacity in (1, 3):
-        profit = _expected_outcome(stream, StockLimitedPolicy(capacity, f_s, f_b), f_s, f_b)[0]
+        profit = expected_outcome(stream, StockLimitedPolicy(capacity, f_s, f_b), f_s, f_b)[0]
         slack = benchmarks.profit_upper_bound_stocked(stream, capacity, f_b) - profit
         checks.append(_line("bounds", f"stocked profit under bound K={capacity}", slack))
 

@@ -14,6 +14,7 @@ import pytest
 
 from brokersim import (
     AgentStream,
+    BalancedPolicy,
     DecayingSellerPolicy,
     Exponential,
     ExperimentConfig,
@@ -26,9 +27,9 @@ from brokersim import (
     check_regularity,
     emit_csv,
     enumerate_alpha_balanced,
+    expected_outcome,
     fifo_match,
     harmonic,
-    inventory_terminal,
     loglog_slope,
     monte_carlo,
     random_alpha_balanced,
@@ -191,11 +192,12 @@ def test_criterion_05_azuma_inventory_bound(capsys):
     ok = True
     details = []
     for alpha in (1, 2):
+        policy = BalancedPolicy(alpha, U01, U01)
         for m in (10, 100, 1000):
-            est = inventory_terminal(alpha, m, U01, U01, 100_000, seed=50_000 + 10 * m + alpha)
+            leftover = expected_outcome(AgentStream.from_pattern(f"(S^{alpha} B)^{m}"), policy, U01, U01)[2]
             bound = azuma_bound(m, alpha)
-            ok &= est.mean <= bound + 3 * est.std_err
-            details.append(f"m={m},a={alpha}: {est.mean:.2f}<={bound:.2f}")
+            ok &= leftover <= bound
+            details.append(f"m={m},a={alpha}: {leftover:.2f}<={bound:.2f}")
     elapsed = time.perf_counter() - start
     ok &= elapsed < 120.0
     report(capsys, 5, "inventory concentration bound", ok, "; ".join(details) + f"; {elapsed:.1f}s")
@@ -268,9 +270,9 @@ def test_criterion_10_determinism(capsys, tmp_path, profit_sqrt_setup, welfare_l
     mc_b = monte_carlo(s, pol, U01, U01, 4_000, 1234)
     checks.append(("monte-carlo", mc_a == mc_b))
 
-    checks.append(
-        ("inventory", inventory_terminal(2, 50, U01, U01, 4_000, 77) == inventory_terminal(2, 50, U01, U01, 4_000, 77))
-    )
+    s = AgentStream.from_pattern("(S^2 B)^50")
+    pol = BalancedPolicy(2, U01, U01)
+    checks.append(("inventory", expected_outcome(s, pol, U01, U01) == expected_outcome(s, pol, U01, U01)))
 
     # replaying a subset of each sweep reproduces the original rows bit for bit
     for name, (cfg, rows) in (

@@ -14,8 +14,8 @@ from brokersim import (
     adaptive_dp_oracle,
     azuma_bound,
     enumerate_alpha_balanced,
+    expected_outcome,
     harmonic,
-    inventory_terminal,
     monte_carlo,
     profit_upper_bound_stocked,
     prophet_price,
@@ -24,8 +24,6 @@ from brokersim import (
     uniform_offline_policy,
     welfare_upper_bound,
 )
-
-from brokersim.engine import _expected_outcome
 from oracles import adaptive_dp_by_stock_loop
 
 U = Uniform(0.0, 1.0)
@@ -124,9 +122,9 @@ class TestAzumaBound:
 
     @pytest.mark.parametrize("alpha", (1, 2))
     @pytest.mark.parametrize("m", (10, 100))
-    def test_simulated_inventory_under_bound(self, m, alpha):
-        est = inventory_terminal(alpha, m, U, U, 20_000, 19)
-        assert est.mean <= azuma_bound(m, alpha) + 3 * est.std_err
+    def test_exact_inventory_under_bound(self, m, alpha):
+        leftover = expected_outcome(stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U), U, U)[2]
+        assert leftover <= azuma_bound(m, alpha)
 
 
 class TestBalancedProfitDecomposition:
@@ -135,25 +133,25 @@ class TestBalancedProfitDecomposition:
 
     def test_single_block_value(self):
         # p=0.75, q=0.25: P(buy)=1/4, then P(no sale)=3/4 -> E[Z_1]=3/16
-        profit, _, leftover = _expected_outcome(stream("SB"), BalancedPolicy(1, U, U), U, U)
+        profit, _, leftover = expected_outcome(stream("SB"), BalancedPolicy(1, U, U), U, U)
         assert (profit, leftover) == (-0.015625, 0.1875)
 
     def test_m_zero(self):
-        assert _expected_outcome(stream("(S B)^0"), BalancedPolicy(1, U, U), U, U) == (0.0, 0.0, 0.0)
+        assert expected_outcome(stream("(S B)^0"), BalancedPolicy(1, U, U), U, U) == (0.0, 0.0, 0.0)
 
     def test_full_liquidation_recovers_fractional_value(self):
         # the leftover stock's cost E[Z_m] * p is all that separates the profit from m * per_buyer_value
         for alpha in (1, 2):
             sol = solve_fractional(U, U, alpha)
             for m in (10, 100, 1000):
-                profit, _, leftover = _expected_outcome(stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U), U, U)
+                profit, _, leftover = expected_outcome(stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U), U, U)
                 assert profit == pytest.approx(m * sol.per_buyer_value - leftover * sol.p, rel=1e-12)
 
     def test_matches_simulated_profit(self):
         m, alpha = 200, 1
         s, pol = stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U)
         est = monte_carlo(s, pol, U, U, 40_000, 29)
-        assert abs(est.mean - _expected_outcome(s, pol, U, U)[0]) <= 3 * est.std_err
+        assert abs(est.mean - expected_outcome(s, pol, U, U)[0]) <= 3 * est.std_err
 
 
 class TestAdaptiveOracle:

@@ -19,13 +19,13 @@ from brokersim import (
     StockLimitedPolicy,
     DecayingSellerPolicy,
     Uniform,
-    inventory_terminal,
+    expected_outcome,
     monte_carlo,
     random_alpha_balanced,
     build_policy,
     run_trial,
 )
-from brokersim.engine import MCEstimate, TradeLog, _expected_outcome, _mc_samples
+from brokersim.engine import MCEstimate, TradeLog, _mc_samples
 from oracles import (
     balanced_online_profit_expectation,
     by_role_rank,
@@ -151,6 +151,13 @@ class TestRunTrial:
             log = run_trial(s, MedianPolicy(U, E), U, E, gen.random(30))
             log.validate()
             assert log.stock_after.min() >= 0
+
+    def test_terminal_stock_equals_bought_minus_sold(self):
+        pol = BalancedPolicy(1, U, U)
+        log = run_trial(stream("(SB)^50"), pol, U, U, RandomStream(8).trial_uniforms(0, 100))
+        bought = np.count_nonzero(log.traded & (log.roles == SELLER))
+        sold = np.count_nonzero(log.traded & (log.roles == BUYER))
+        assert log.stock_after[-1] == bought - sold
 
 
 def hand_log(roles, traded, stock_after):
@@ -375,9 +382,12 @@ class TestDeadBuyerSkip:
         s, policy, trials = stream(text), policy_factory(), 300
         root = RandomStream(2718)
         ref = [resolve_trial_by_steps(s, policy, f_s, f_b, root.trial_uniforms(i, len(s)), cap) for i in range(trials)]
-        for objective in ("profit", "welfare", "leftover"):
+        for objective in ("profit", "welfare"):
             got = _mc_samples(s, policy, f_s, f_b, trials, 2718, cap, objective)
             assert np.array_equal(got, [getattr(r, objective) for r in ref]), objective
+        for i, r in enumerate(ref):
+            log = run_trial(s, policy, f_s, f_b, root.trial_uniforms(i, len(s)), stock_cap=cap)
+            assert log.stock_after[-1] == r.leftover, i
 
     def test_a_chunk_jumps_to_the_next_seller(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
@@ -431,24 +441,6 @@ class TestDeadBuyerSkip:
         assert np.array_equal(log.values, values)
 
 
-class TestInventoryTerminal:
-    def test_single_block_closed_form(self):
-        # p=0.75, q=0.25: P(buy)=1/4, then P(no sale)=3/4 -> E[Z_1]=3/16
-        est = inventory_terminal(1, 1, U, U, 200_000, 55)
-        assert abs(est.mean - 0.1875) < 3 * est.std_err
-
-    def test_empty_walk(self):
-        est = inventory_terminal(1, 0, U, U, 10, 1)
-        assert est.mean == 0.0
-
-    def test_terminal_stock_equals_bought_minus_sold(self):
-        pol = BalancedPolicy(1, U, U)
-        log = run_trial(stream("(SB)^50"), pol, U, U, RandomStream(8).trial_uniforms(0, 100))
-        bought = np.count_nonzero(log.traded & (log.roles == SELLER))
-        sold = np.count_nonzero(log.traded & (log.roles == BUYER))
-        assert log.stock_after[-1] == bought - sold
-
-
 class TestCoupledRuns:
     def test_prefix_domination_transfers_to_profit_per_trial(self, rng):
         pol = BalancedPolicy(1, U, U)
@@ -497,7 +489,7 @@ def outcome_by_patterns(s, policy, f_s, f_b, stock_cap):
 
 
 class TestExpectedOutcome:
-    """``_expected_outcome``, the exact stock chain, against brute force,
+    """``expected_outcome``, the exact stock chain, against brute force,
     a state-enumeration oracle and reference means."""
 
     @pytest.mark.parametrize(
@@ -515,7 +507,7 @@ class TestExpectedOutcome:
         policy = build_policy(spec, f_s, f_b)
         for n in (10, *rng.integers(1, 10, size=9)):
             s = AgentStream(rng.integers(0, 2, size=n).astype(np.uint8))
-            profit, welfare, leftover = _expected_outcome(s, policy, f_s, f_b, cap)
+            profit, welfare, leftover = expected_outcome(s, policy, f_s, f_b, cap)
             ref = outcome_by_patterns(s, policy, f_s, f_b, cap)
             assert profit == pytest.approx(ref[0], rel=1e-12, abs=1e-14)
             assert welfare == pytest.approx(ref[1], rel=1e-8, abs=1e-10)
@@ -527,7 +519,7 @@ class TestExpectedOutcome:
         policy = build_policy(spec, f_s, f_b)
         q, p = float(policy.seller_prices(1)[0]), float(policy.p)
         ref = balanced_online_profit_expectation(m, p, q, float(f_s.cdf(q)), 1.0 - float(f_b.cdf(p)))
-        assert _expected_outcome(stream(f"(SB)^{m}"), policy, f_s, f_b)[0] == pytest.approx(ref, rel=1e-12)
+        assert expected_outcome(stream(f"(SB)^{m}"), policy, f_s, f_b)[0] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize(
         "text,spec,f_s,f_b,cap,which,expected",
@@ -552,5 +544,5 @@ class TestExpectedOutcome:
     )
     def test_reference_means(self, text, spec, f_s, f_b, cap, which, expected):
         # which: 0 profit, 1 welfare, 2 leftover stock
-        outcome = _expected_outcome(stream(text), build_policy(spec, f_s, f_b), f_s, f_b, cap)
+        outcome = expected_outcome(stream(text), build_policy(spec, f_s, f_b), f_s, f_b, cap)
         assert outcome[which] == pytest.approx(expected, rel=1e-9)

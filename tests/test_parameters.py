@@ -23,9 +23,9 @@ from brokersim import (
     certify_bounds,
     brute_force_max_matching,
     enumerate_alpha_balanced,
+    expected_outcome,
     fifo_match,
     harmonic,
-    inventory_terminal,
     is_alpha_balanced,
     monte_carlo,
     prophet_price,
@@ -55,11 +55,11 @@ ENTRY_POINTS = [
     ("enumerate_alpha_balanced.alpha", lambda v: list(enumerate_alpha_balanced(v, 2)), 1),
     ("solve_fractional.alpha", lambda v: solve_fractional(U, U, v), 1),
     ("azuma_bound.alpha", lambda v: azuma_bound(10, v), 1),
-    ("inventory_terminal.alpha", lambda v: inventory_terminal(v, 2, U, U, 10, 0), 1),
     ("ExperimentConfig.alpha", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), alpha=v), 1),
     # stock cap / capacity >= 1
     ("monte_carlo.stock_cap", lambda v: monte_carlo(SSBB, FIXED, U, U, 10, 0, stock_cap=v), 1),
     ("run_trial.stock_cap", lambda v: run_trial(SSBB, FIXED, U, U, rng().random(4), stock_cap=v), 1),
+    ("expected_outcome.stock_cap", lambda v: expected_outcome(SSBB, FIXED, U, U, stock_cap=v), 1),
     ("StockLimitedPolicy.capacity", lambda v: StockLimitedPolicy(v, U, U), 1),
     ("ExperimentConfig.stock_cap", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), stock_cap=v), 1),
     ("adaptive_dp_oracle.stock_cap", lambda v: adaptive_dp_oracle(SSBB, U, U, price_grid=8, stock_cap=v), 1),
@@ -74,7 +74,6 @@ ENTRY_POINTS = [
     ("harmonic.n", lambda v: harmonic(v), 0),
     ("random_alpha_balanced.m", lambda v: random_alpha_balanced(2, v, rng()), 0),
     ("enumerate_alpha_balanced.m", lambda v: list(enumerate_alpha_balanced(2, v)), 0),
-    ("inventory_terminal.m", lambda v: inventory_terminal(1, v, U, U, 10, 0), 0),
     ("top_k_sum_bound.k", lambda v: top_k_sum_bound(0.5, 0.3, 10, v), 1),
     ("top_k_sum_bound.m", lambda v: top_k_sum_bound(0.5, 0.3, v, 3), 3),
     ("adaptive_dp_oracle.price_grid", lambda v: adaptive_dp_oracle(SB, U, U, price_grid=v), 2),
@@ -83,7 +82,6 @@ ENTRY_POINTS = [
     ("profit-sqrt-n.n", lambda v: run_experiment(ExperimentConfig(scenario="profit-sqrt-n", n_values=(v,), trials=100)), 2),
     # trials
     ("monte_carlo.trials", lambda v: monte_carlo(SB, FIXED, U, U, v, 0), 2),
-    ("inventory_terminal.trials", lambda v: inventory_terminal(1, 2, U, U, v, 0), 2),
     ("ExperimentConfig.trials", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), trials=v), 100),
     # seeds and substream indices >= 0
     ("RandomStream.seed", lambda v: RandomStream(v), 0),

@@ -63,7 +63,7 @@ def markets(draw):
 @PROPERTY_SETTINGS
 @given(
     market=markets(),
-    objective=st.sampled_from(["profit", "welfare", "leftover"]),
+    objective=st.sampled_from(["profit", "welfare"]),
     # up to three lane blocks of 128 trials, one to three blocks per chunk
     trials=st.integers(2, 300),
     seed=st.integers(0, 2**40),
