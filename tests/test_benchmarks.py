@@ -120,8 +120,8 @@ class TestAzumaBound:
         with pytest.raises(ValueError):
             azuma_bound(1, 1)
 
-    @pytest.mark.parametrize("alpha", (1, 2))
-    @pytest.mark.parametrize("m", (10, 100))
+    @pytest.mark.parametrize("alpha", (1, 2, 3))
+    @pytest.mark.parametrize("m", (10, 100, 1000))
     def test_exact_inventory_under_bound(self, m, alpha):
         leftover = expected_outcome(stream(f"(S^{alpha} B)^{m}"), BalancedPolicy(alpha, U, U), U, U)[2]
         assert leftover <= azuma_bound(m, alpha)

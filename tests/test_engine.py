@@ -160,6 +160,34 @@ class TestRunTrial:
         assert log.stock_after[-1] == bought - sold
 
 
+class TestCapAtOrAboveNS:
+    """Stock never exceeds n_S, so a stock cap at or above n_S never binds:
+    the schedule folds it to n_S and every scorer matches the uncapped run."""
+
+    @pytest.mark.parametrize("extra", (0, 1, 1000))
+    @pytest.mark.parametrize(
+        "text,spec,f_s,f_b",
+        [
+            ("(SB)^20", "median", U, U),
+            ("S^6 B^6", "fixed:0.3,0.6", E, E),
+            ("(S^2 B)^8 S^3", "decay:0.05", U, E),
+            ("S^5 B^10", "stock:9", U, U),
+        ],
+    )
+    def test_matches_uncapped(self, text, spec, f_s, f_b, extra):
+        s, policy = stream(text), build_policy(spec, f_s, f_b)
+        cap = s.n_S + extra
+        assert engine_mod._price_schedule(policy, s, f_s, f_b, cap)[2] == s.n_S
+        assert expected_outcome(s, policy, f_s, f_b, cap) == expected_outcome(s, policy, f_s, f_b)
+        u = RandomStream(11).trial_uniforms(0, len(s))
+        got, want = run_trial(s, policy, f_s, f_b, u, stock_cap=cap), run_trial(s, policy, f_s, f_b, u)
+        for field in ("roles", "prices", "values", "traded", "stock_after"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+        for objective in ("profit", "welfare"):
+            capped = monte_carlo(s, policy, f_s, f_b, 64, 3, stock_cap=cap, objective=objective)
+            assert capped == monte_carlo(s, policy, f_s, f_b, 64, 3, objective=objective)
+
+
 def hand_log(roles, traded, stock_after):
     n = len(roles)
     return TradeLog(
