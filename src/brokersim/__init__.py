@@ -63,6 +63,7 @@ from .benchmarks import (
     azuma_bound,
     profit_upper_bound_stocked,
     prophet_price,
+    split_stream_profit,
     uniform_offline_policy,
     welfare_upper_bound,
 )

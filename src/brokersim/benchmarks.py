@@ -8,10 +8,11 @@ Upper bounds (analytic):
 * ``azuma_bound``: concentration cap on the expected terminal inventory of
   the balanced walk.
 
-Offline strategies (explicit witnesses to simulate):
+Offline strategies (explicit witnesses, valued exactly):
 
 * ``uniform_offline_policy``: the fixed price pair whose expected profit on
-  S^(n/2) B^(n/2) with uniform values is linear in n.
+  S^(n/2) B^(n/2) with uniform values is linear in n; ``split_stream_profit``
+  gives that profit exactly.
 * ``prophet_price``: the threshold mu^(n)/2 that extracts at least half the
   expected maximum from n buyers, given stock.
 
@@ -35,6 +36,7 @@ __all__ = [
     "welfare_upper_bound",
     "profit_upper_bound_stocked",
     "uniform_offline_policy",
+    "split_stream_profit",
     "prophet_price",
     "azuma_bound",
     "adaptive_dp_oracle",
@@ -76,6 +78,18 @@ def uniform_offline_policy(a: float, b: float) -> tuple[float, float, float]:
     q = 0.5 * a * (2.0 + y * y * k)
     profit_per_n = (a * k / 128.0) * (1.0 - 1.0 / k) ** 4
     return (q, p, profit_per_n)
+
+
+def split_stream_profit(k: int, q: float, p: float, f_s: Distribution, f_b: Distribution) -> float:
+    """Exact expected profit of fixed prices (q, p) on S^k B^k: X ~ Bin(k, F_S(q))
+    items are bought and min(X, Y) sold to Y ~ Bin(k, 1 - F_B(p)) accepting
+    buyers, so E[profit] = p * sum_{j<k} P(X>j) P(Y>j) - q * k * F_S(q)."""
+    from scipy.special import bdtrc  # scipy loads on first use, not on import
+
+    k = require_int("k", k, 0)
+    buy, sell = f_s.cdf(q), 1.0 - f_b.cdf(p)
+    j = np.arange(k)
+    return p * math.fsum(bdtrc(j, k, buy) * bdtrc(j, k, sell)) - q * k * buy
 
 
 def prophet_price(f: Distribution, n: int) -> float:

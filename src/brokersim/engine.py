@@ -287,9 +287,7 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
     capped = cap < stream.n_S
     need_values = objective == "welfare"
     stock = np.zeros(shape, dtype=np.int64)
-    spend = np.zeros(shape)
-    income = np.zeros(shape)
-    wsum = np.zeros(shape)
+    spend, income, wsum = np.zeros((3, *shape))
     traded = np.zeros(n if trace else 0, dtype=bool)
     stock_after = np.zeros(n if trace else 0, dtype=np.int64)
     sellers = np.flatnonzero(stream.roles == SELLER)
@@ -312,16 +310,18 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
                 trade = u < th
                 if capped:
                     trade &= stock < cap
-                spend += trade * p
                 stock += trade
                 if need_values:
                     wsum += ~trade * f_s.inverse_cdf(u)
+                else:
+                    spend += trade * p
             else:
                 trade = (u >= th) & (stock > 0)
-                income += trade * p
                 stock -= trade
                 if need_values:
                     wsum += trade * f_b.inverse_cdf(u)
+                else:
+                    income += trade * p
             if trace:
                 traded[slab_start + k] = trade[0]
                 stock_after[slab_start + k] = stock[0]

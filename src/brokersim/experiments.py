@@ -6,8 +6,8 @@ Scenarios (sweep variable in parentheses):
 * ``welfare-log-n`` (n): median policy on S B^n vs the prophet threshold
   value mu_B^(n)/2; the ratio grows like the harmonic number H_n.
 * ``profit-sqrt-n`` (n, even): decaying-seller-price policy on
-  S^(n/2) B^(n/2) with uniform values vs the simulated fixed-price offline
-  witness; the ratio grows like sqrt(n).
+  S^(n/2) B^(n/2) with uniform values vs the exact expected profit of the
+  fixed-price offline witness; the ratio grows like sqrt(n).
 * ``stock-limited`` (n, even): stock-capped policy on (SB)^(n/2) vs the
   analytic kappa*H_n*mu_B profit bound, both ends capped at K.
 * ``balanced`` (m): balanced policy on (S^alpha B)^m vs m times the
@@ -34,7 +34,6 @@ from .errors import require_int
 from .policies import (
     BalancedPolicy,
     DecayingSellerPolicy,
-    FixedPricePolicy,
     MedianPolicy,
     StockLimitedPolicy,
 )
@@ -94,10 +93,10 @@ class RatioRow:
     slack_adjusted_ratio: float
 
 
-def _row_seed(cfg: ExperimentConfig, n: int, side: int) -> int:
-    # Stable per-(seed, n, side) derivation: a row keeps its seed when the
-    # sweep is extended or truncated.
-    return int(np.random.SeedSequence((cfg.seed, n, side)).generate_state(1)[0])
+def _row_seed(cfg: ExperimentConfig, n: int) -> int:
+    # Stable per-(seed, n) derivation: a row keeps its seed when the sweep is
+    # extended or truncated.  Dropping the trailing 0 would change every row.
+    return int(np.random.SeedSequence((cfg.seed, n, 0)).generate_state(1)[0])
 
 
 def _require_uniform(d: Distribution, what: str) -> Uniform:
@@ -111,7 +110,7 @@ def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
     if cfg.scenario in ("welfare-log-n", "pareto-blowup"):
         stream = AgentStream.from_pattern(f"S B^{n}")
         policy = MedianPolicy(f_s, f_b)
-        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n, 0), objective="welfare")
+        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective="welfare")
         return online, benchmarks.prophet_price(f_b, n)
 
     if cfg.scenario == "profit-sqrt-n":
@@ -120,25 +119,21 @@ def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
         stream = AgentStream.from_pattern(f"S^{n // 2} B^{n // 2}")
         online = monte_carlo(
             stream, DecayingSellerPolicy(cfg.decay_eps, f_s, f_b), f_s, f_b,
-            cfg.trials, _row_seed(cfg, n, 0), objective="profit",
+            cfg.trials, _row_seed(cfg, n), objective="profit",
         )
         q, p, _ = benchmarks.uniform_offline_policy(uni.lo, uni.hi)
-        offline = monte_carlo(
-            stream, FixedPricePolicy(q, p), f_s, f_b,
-            cfg.trials, _row_seed(cfg, n, 1), objective="profit",
-        )
-        return online, offline.mean
+        return online, benchmarks.split_stream_profit(n // 2, q, p, f_s, f_b)
 
     if cfg.scenario == "stock-limited":
         stream = AgentStream.from_pattern(f"(SB)^{n // 2}")
         policy = StockLimitedPolicy(cfg.stock_cap, f_s, f_b)
-        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n, 0), objective="profit")
+        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective="profit")
         return online, benchmarks.profit_upper_bound_stocked(stream, cfg.stock_cap, f_b)
 
     if cfg.scenario == "balanced":
         stream = AgentStream.from_pattern(f"(S^{cfg.alpha} B)^{n}")
         policy = BalancedPolicy(cfg.alpha, f_s, f_b)
-        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n, 0), objective="profit")
+        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective="profit")
         return online, n * policy.solution.per_buyer_value
 
     raise AssertionError(f"unhandled scenario {cfg.scenario}")

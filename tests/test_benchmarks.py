@@ -21,6 +21,7 @@ from brokersim import (
     prophet_price,
     random_alpha_balanced,
     solve_fractional,
+    split_stream_profit,
     uniform_offline_policy,
     welfare_upper_bound,
 )
@@ -90,6 +91,32 @@ class TestUniformOffline:
         s = stream("S^64 B^64")
         est = monte_carlo(s, FixedPricePolicy(q, p), U, U, 20_000, 13)
         assert est.mean / 128 >= per_n - 3 * est.std_err / 128
+
+
+class TestSplitStreamProfit:
+    # prices inside and outside each prior's support, never p = q: there the
+    # profit p * (E[min(X, Y)] - E[X]) cancels to ~1e-6 of its terms at k = 1000
+    CASES = [
+        (U, U, [(0.125, 0.5), (0.3, 0.7), (0.6, 0.4), (0.0, 0.5), (0.2, 1.5)]),
+        (Uniform(1.0, 3.0), Uniform(1.0, 3.0), [(1.0625, 1.5), (1.5, 2.5), (0.5, 2.0), (3.5, 2.0), (1.2, 0.5)]),
+        (E, Exponential(2.0), [(0.5, 1.0), (0.2, 3.0), (1.0, 0.3), (0.0, 1.0), (2.0, 0.0)]),
+        (U, E, [(0.25, 1.0), (0.3, 0.6), (1.5, 2.0), (0.1, 0.0), (0.8, 4.0)]),
+    ]
+
+    @pytest.mark.parametrize("k", [*range(41), 200, 1000])
+    def test_matches_stock_chain(self, k):
+        s = stream(f"S^{k} B^{k}")
+        for f_s, f_b, prices in self.CASES:
+            for q, p in prices:
+                chain = expected_outcome(s, FixedPricePolicy(q, p), f_s, f_b)[0]
+                assert split_stream_profit(k, q, p, f_s, f_b) == pytest.approx(chain, rel=1e-12, abs=0.0)
+
+    def test_empty_stream(self):
+        assert split_stream_profit(0, 0.125, 0.5, U, U) == 0.0
+
+    def test_uniform_witness_is_linear(self):
+        # X ~ Bin(k, 1/8) rarely exceeds Y ~ Bin(k, 1/2), so profit -> (p - q) k / 8 = 3n/128
+        assert split_stream_profit(4096, 0.125, 0.5, U, U) == pytest.approx(3 * 8192 / 128, rel=1e-12)
 
 
 class TestProphetPrice:

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from brokersim import ExperimentConfig, RatioRow, emit_csv, harmonic, loglog_slope, run_experiment
+from brokersim import (
+    AgentStream,
+    ExperimentConfig,
+    FixedPricePolicy,
+    RatioRow,
+    Uniform,
+    emit_csv,
+    expected_outcome,
+    harmonic,
+    loglog_slope,
+    run_experiment,
+    uniform_offline_policy,
+)
 
 HEADER = "n,online_mean,online_ci95_low,online_ci95_high,offline_bound,ratio,slack_adjusted_ratio"
 
@@ -95,6 +107,20 @@ class TestRunExperiment:
         assert rows == run_experiment(cfg)
         subset = run_experiment(ExperimentConfig(scenario="balanced", n_values=(40,), trials=300, seed=9))
         assert subset == [rows[1]]
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (1.0, 3.0)])
+    def test_profit_sqrt_offline_is_exact_witness_profit(self, lo, hi):
+        # U[1, 3] takes the general branch of uniform_offline_policy
+        dist = f"uniform:{lo:g},{hi:g}"
+        cfg = ExperimentConfig(
+            scenario="profit-sqrt-n", n_values=(16, 32, 64), trials=100, seed=4, seller_dist=dist, buyer_dist=dist,
+        )
+        q, p, _ = uniform_offline_policy(lo, hi)
+        uni = Uniform(lo, hi)
+        for r in run_experiment(cfg):
+            stream = AgentStream.from_pattern(f"S^{r.n // 2} B^{r.n // 2}")
+            chain = expected_outcome(stream, FixedPricePolicy(q, p), uni, uni)[0]
+            assert r.offline_bound == pytest.approx(chain, rel=1e-12, abs=0.0)
 
     def test_stock_limited_rows(self):
         cfg = ExperimentConfig(scenario="stock-limited", n_values=(64, 128), trials=300, seed=2, stock_cap=2)

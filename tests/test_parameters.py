@@ -33,6 +33,7 @@ from brokersim import (
     run_experiment,
     run_trial,
     solve_fractional,
+    split_stream_profit,
     top_k_sum_bound,
 )
 from brokersim.errors import require_int
@@ -72,6 +73,7 @@ ENTRY_POINTS = [
     ("prophet_price.n", lambda v: prophet_price(U, v), 1),
     ("azuma_bound.m", lambda v: azuma_bound(v, 1), 2),
     ("harmonic.n", lambda v: harmonic(v), 0),
+    ("split_stream_profit.k", lambda v: split_stream_profit(v, 0.125, 0.5, U, U), 0),
     ("random_alpha_balanced.m", lambda v: random_alpha_balanced(2, v, rng()), 0),
     ("enumerate_alpha_balanced.m", lambda v: list(enumerate_alpha_balanced(2, v)), 0),
     ("top_k_sum_bound.k", lambda v: top_k_sum_bound(0.5, 0.3, 10, v), 1),
