@@ -20,32 +20,25 @@ One kernel, ``_resolve``, decides and scores every trade, for Monte Carlo
 chunks and for ``run_trial`` (width 1, per-step trace).  ``expected_outcome``
 gives the exact means from the stock Markov chain on the same price schedule.
 
-Determinism: trials form lane blocks of ``_LANES`` (128).  Block b draws
-from one PCG64 generator, ``RandomStream(seed).substream(b)``, seeded by
-``SeedSequence(seed, spawn_key=(b,))``, in step-major order: step t of trial
-i = 128 b + k consumes draw 128 t + k of that generator.  So trial i's
-uniforms are column k of ``substream(b).random((n, 128))``, and
-``RandomStream(seed).trial_uniforms(i, n)`` returns them.  The slab of
-uniforms is block-major, (blocks, steps, 128): each block fills its own
-contiguous slice with one ``random(out=...)`` call, and step k of the slab
-is ``slab[..., k, :]``.  A chunk is made of whole blocks and the trial count
-rounds up to whole blocks (extra lanes are discarded), so every sample is
-independent of the chunk size, the slab size and the number of trials.
-Estimates reduce in trial-index order with compensated summation, so
-results are identical across reruns.  One slab of at most ``_STEP_SLAB`` x
-``_TRIAL_CHUNK`` float64 uniforms (32 x 8192, 2 MiB, small enough to stay in
-cache between the fill and the step loop) serves a whole run, whatever the
-stream length and trial count.
+Determinism: every draw follows the lane-block layout of ``RandomStream``,
+the one place it is written, so trial i of a run replays exactly as
+``RandomStream(seed).trial_uniforms(i, n)``.  A chunk is made of whole blocks
+and the trial count rounds up to whole blocks (extra lanes are discarded), so
+every sample is independent of the chunk size, the slab size and the number
+of trials.  Estimates reduce in trial-index order with compensated
+summation, so results are identical across reruns.  One slab of at most
+``_STEP_SLAB`` x ``_TRIAL_CHUNK`` float64 uniforms (32 x 8192, 2 MiB, small
+enough to stay in cache between the fill and the step loop) serves a whole
+run, whatever the stream length and trial count.
 
 Dead buyers are skipped: when a slab would start on a buyer while no trial of
 the chunk holds stock, it starts at the next seller instead, and the run ends
 if none is left.  Once every trial's stock is gone, the kernel resolves at
 most the rest of the current slab, under ``_STEP_SLAB`` (32) steps.  Those
 buyers cannot trade, so stock, spend, income and welfare are exactly what
-stepping through them would give.  Their draws are still consumed: a gap of
-g steps advances each block's generator by 128 g (``bit_generator.advance``),
-so step t still reads its own draw, and a trace still values every step from
-its own draw.
+stepping through them would give.  Their draws are still consumed: the draw
+source skips over them, so step t still reads its own draw, and a trace
+still values every step from its own draw.
 """
 
 from __future__ import annotations
@@ -77,11 +70,14 @@ _OBJECTIVES = ("profit", "welfare")
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Root of the lane-block substream derivation.
+    """Root of the lane-block draw layout: the one place it is written.
 
-    Trials form blocks of ``_LANES``; block b draws from ``substream(b)``,
-    PCG64 seeded by ``SeedSequence(seed, spawn_key=(b,))``, so identical
-    inputs reproduce identical draws on every platform.
+    Trials form blocks of ``_LANES`` (128).  Block b draws from one PCG64
+    generator, ``substream(b)``, seeded by ``SeedSequence(seed, spawn_key=(b,))``,
+    in step-major order: step t of trial i = 128 b + k reads draw 128 t + k of
+    that generator.  So trial i's uniforms are column k of
+    ``substream(b).random((n, 128))``, and identical inputs reproduce
+    identical draws on every platform.
     """
 
     seed: int
@@ -95,22 +91,38 @@ class RandomStream:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
 
     def trial_uniforms(self, index: int, n: int) -> np.ndarray:
-        """The uniforms of steps 0..n-1 of trial ``index``, in step order.
-
-        Step t of trial i = _LANES * b + k reads draw _LANES * t + k of
-        ``substream(b)``; the block's draws are generated slab by slab, so
-        memory stays bounded by ``_STEP_SLAB`` x ``_LANES`` whatever ``n``.
-        """
+        """The uniforms of steps 0..n-1 of trial ``index``, in step order, read
+        slab by slab from its lane so memory stays bounded whatever ``n``."""
         block, lane = divmod(require_int("index", index, 0), _LANES)
         n = require_int("n", n, 0)
-        gen = self.substream(block)
+        draws = self._lane_blocks(block, block + 1, np.empty((1, min(_STEP_SLAB, n), _LANES)))
         out = np.empty(n)
-        buf = np.empty((min(_STEP_SLAB, n), _LANES))
         for start in range(0, n, _STEP_SLAB):
             depth = min(_STEP_SLAB, n - start)
-            gen.random(out=buf[:depth])
-            out[start : start + depth] = buf[:depth, lane]
+            out[start : start + depth] = draws(start, depth)[0, :, lane]
         return out
+
+    def _lane_blocks(self, first: int, stop: int, slab: np.ndarray):
+        """The draw source ``draws(start, depth)`` of blocks first..stop-1.
+
+        Each call fills each block's slice of the block-major ``slab``,
+        (blocks, steps, ``_LANES``), and returns ``slab[:blocks, :depth]``.
+        Starts increase; skipped steps still consume their draws.
+        """
+        gens = [self.substream(b) for b in range(first, stop)]
+        drawn = 0  # steps whose draws the generators have passed
+
+        def draws(start, depth):
+            nonlocal drawn
+            if start > drawn:
+                for gen in gens:
+                    gen.bit_generator.advance(_LANES * (start - drawn))
+            drawn = start + depth
+            for block, gen in zip(slab, gens):
+                gen.random(out=block[:depth])
+            return slab[: len(gens), :depth]
+
+        return draws
 
 
 @dataclass
@@ -330,13 +342,8 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
 
 
 def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
-    """Per-trial objective values, vectorized across chunks of lane blocks.
-
-    Trial i = _LANES * b + k reads, at step t, draw _LANES * t + k of
-    ``RandomStream(seed).substream(b)``.  The trial count rounds up to whole
-    blocks and the extra lanes are discarded, so per-trial results are
-    independent of the chunk and slab sizes and of the trial count.
-    """
+    """Per-trial objective values, vectorized across chunks of whole lane
+    blocks of ``RandomStream(seed)`` (see the module docstring)."""
     trials = require_int("trials", trials, 2)
     price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     root = RandomStream(seed)
@@ -347,23 +354,9 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
     # _STEP_SLAB x _TRIAL_CHUNK uniforms (2 MiB), whatever the stream length
     slab = np.empty((min(chunk, n_blocks), min(_STEP_SLAB, len(stream)), _LANES))
     for b0 in range(0, n_blocks, chunk):
-        gens = [root.substream(b) for b in range(b0, min(b0 + chunk, n_blocks))]
-        drawn = 0  # steps of this chunk whose draws the generators have passed
-
-        def draws(step, depth):
-            nonlocal drawn
-            if step > drawn:
-                # skipped steps still consume their draws: step t reads row t of its block
-                for gen in gens:
-                    gen.bit_generator.advance((step - drawn) * _LANES)
-            drawn = step + depth
-            for block, gen in zip(slab, gens):
-                gen.random(out=block[:depth])
-            return slab[: len(gens), :depth]
-
-        out[b0 : b0 + len(gens)] = _resolve(
-            stream, price, thresh, cap, f_s, f_b, (len(gens), _LANES), draws, objective
-        )[0]
+        b1 = min(b0 + chunk, n_blocks)
+        draws = root._lane_blocks(b0, b1, slab)
+        out[b0:b1] = _resolve(stream, price, thresh, cap, f_s, f_b, (b1 - b0, _LANES), draws, objective)[0]
     return out.reshape(-1)[:trials]
 
 

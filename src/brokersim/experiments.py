@@ -15,6 +15,8 @@ Scenarios (sweep variable in parentheses):
 * ``pareto-blowup`` (n): median policy on S B^n with heavy-tailed Pareto
   values on both sides; the ratio grows polynomially.
 
+Each scenario reads its own config fields besides n, trials and seed, and
+``ExperimentConfig`` refuses any other field set away from its default.
 Every row records the raw ratio offline/online and a slack-adjusted ratio
 (offline - mu_S)/online that removes the additive one-seller deficit an
 online trader can always be forced to carry.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import benchmarks
 from .distributions import Distribution, Pareto, Uniform, parse_distribution
-from .engine import MCEstimate, monte_carlo
+from .engine import monte_carlo
 from .errors import require_int
 from .policies import (
     BalancedPolicy,
@@ -41,15 +43,17 @@ from .streams import AgentStream
 
 __all__ = ["SCENARIOS", "DEFAULT_SWEEPS", "ExperimentConfig", "RatioRow", "run_experiment", "emit_csv", "loglog_slope"]
 
-#: Each scenario and the sweep the CLI runs when no n_values are given.
-DEFAULT_SWEEPS = {
-    "welfare-log-n": tuple(2**k for k in range(4, 15)),
-    "profit-sqrt-n": tuple(2**k for k in range(8, 17)),
-    "stock-limited": tuple(2**k for k in range(6, 13)),
-    "balanced": (100, 1000, 10000),
-    "pareto-blowup": tuple(2**k for k in range(4, 15)),
+#: Each scenario: the sweep the CLI runs when no n_values are given, and the
+#: config fields it reads besides scenario, n_values, trials and seed.
+_SCENARIO_TABLE = {
+    "welfare-log-n": (tuple(2**k for k in range(4, 15)), ("seller_dist", "buyer_dist")),
+    "profit-sqrt-n": (tuple(2**k for k in range(8, 17)), ("seller_dist", "buyer_dist", "decay_eps")),
+    "stock-limited": (tuple(2**k for k in range(6, 13)), ("seller_dist", "buyer_dist", "stock_cap")),
+    "balanced": ((100, 1000, 10000), ("seller_dist", "buyer_dist", "alpha")),
+    "pareto-blowup": (tuple(2**k for k in range(4, 15)), ("pareto_eps",)),
 }
-SCENARIOS = tuple(DEFAULT_SWEEPS)
+DEFAULT_SWEEPS = {name: sweep for name, (sweep, _) in _SCENARIO_TABLE.items()}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+        read = ("scenario", "n_values", "trials", "seed", *_SCENARIO_TABLE[self.scenario][1])
+        for f in fields(self):
+            # an option the scenario ignores would leave its rows unchanged, so it is refused
+            if f.name not in read and getattr(self, f.name) != f.default:
+                raise ValueError(f"scenario {self.scenario} does not read {f.name}; leave it at {f.default!r}")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         for n in self.n_values:
@@ -105,42 +114,33 @@ def _require_uniform(d: Distribution, what: str) -> Uniform:
     return d
 
 
-def _scenario_point(cfg, n, f_s, f_b) -> tuple[MCEstimate, float]:
-    """One sweep point: (online estimate, offline benchmark value)."""
+def _scenario_point(cfg, n, f_s, f_b):
+    """One sweep point: (stream, policy, objective, offline benchmark value)."""
     if cfg.scenario in ("welfare-log-n", "pareto-blowup"):
-        stream = AgentStream.from_pattern(f"S B^{n}")
-        policy = MedianPolicy(f_s, f_b)
-        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective="welfare")
-        return online, benchmarks.prophet_price(f_b, n)
+        return AgentStream.from_pattern(f"S B^{n}"), MedianPolicy(f_s, f_b), "welfare", benchmarks.prophet_price(f_b, n)
 
     if cfg.scenario == "profit-sqrt-n":
         uni = _require_uniform(f_s, "profit-sqrt-n")
         _require_uniform(f_b, "profit-sqrt-n")
         stream = AgentStream.from_pattern(f"S^{n // 2} B^{n // 2}")
-        online = monte_carlo(
-            stream, DecayingSellerPolicy(cfg.decay_eps, f_s, f_b), f_s, f_b,
-            cfg.trials, _row_seed(cfg, n), objective="profit",
-        )
         q, p, _ = benchmarks.uniform_offline_policy(uni.lo, uni.hi)
-        return online, benchmarks.split_stream_profit(n // 2, q, p, f_s, f_b)
+        offline = benchmarks.split_stream_profit(n // 2, q, p, f_s, f_b)
+        return stream, DecayingSellerPolicy(cfg.decay_eps, f_s, f_b), "profit", offline
 
     if cfg.scenario == "stock-limited":
         stream = AgentStream.from_pattern(f"(SB)^{n // 2}")
-        policy = StockLimitedPolicy(cfg.stock_cap, f_s, f_b)
-        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective="profit")
-        return online, benchmarks.profit_upper_bound_stocked(stream, cfg.stock_cap, f_b)
+        offline = benchmarks.profit_upper_bound_stocked(stream, cfg.stock_cap, f_b)
+        return stream, StockLimitedPolicy(cfg.stock_cap, f_s, f_b), "profit", offline
 
     if cfg.scenario == "balanced":
-        stream = AgentStream.from_pattern(f"(S^{cfg.alpha} B)^{n}")
         policy = BalancedPolicy(cfg.alpha, f_s, f_b)
-        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective="profit")
-        return online, n * policy.solution.per_buyer_value
+        return AgentStream.from_pattern(f"(S^{cfg.alpha} B)^{n}"), policy, "profit", n * policy.solution.per_buyer_value
 
     raise AssertionError(f"unhandled scenario {cfg.scenario}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RatioRow]:
-    """One RatioRow per sweep value; deterministic given the config."""
+    """One RatioRow per sweep value, each from one Monte Carlo run; deterministic."""
     if cfg.scenario == "pareto-blowup":
         f_s = f_b = Pareto(cfg.pareto_eps)
     else:
@@ -149,7 +149,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RatioRow]:
     mu_s = f_s.mean
     rows = []
     for n in cfg.n_values:
-        online, offline = _scenario_point(cfg, n, f_s, f_b)
+        stream, policy, objective, offline = _scenario_point(cfg, n, f_s, f_b)
+        online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective=objective)
         if online.mean > 0.0:
             ratio = offline / online.mean
             adjusted = (offline - mu_s) / online.mean

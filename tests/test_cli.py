@@ -171,6 +171,20 @@ class TestExperiment:
             if field.name not in ("scenario", "n_values"):
                 assert hasattr(args, field.name), field.name
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["welfare-log-n", "--alpha", "7", "--stock-cap", "9", "--decay-eps", "0.3", "--pareto-eps", "0.9"], "alpha"),
+            (["pareto-blowup", "--seller-dist", "exp:1", "--buyer-dist", "uniform:0,3"], "seller_dist"),
+        ],
+    )
+    def test_unread_option_is_usage_error(self, capsys, tmp_path, argv, name):
+        out_path = tmp_path / "rows.csv"
+        code, _, err = run(["experiment", *argv, "--n-values", "16", "--trials", "100", "--out", str(out_path)], capsys)
+        assert code == 2
+        assert f"does not read {name}" in err and argv[0] in err
+        assert not out_path.exists()
+
     def test_bad_n_values_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "balanced", "--n-values", "20,x"])

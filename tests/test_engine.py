@@ -82,6 +82,13 @@ class TestRandomStream:
             assert np.array_equal(RandomStream(seed).trial_uniforms(index, 1100), expected[:, lane])
         assert RandomStream(seed).trial_uniforms(5, 0).size == 0
 
+    @pytest.mark.parametrize("slab,n", [(3, 12), (5, 13), (5, 0)])  # 13 steps leave a ragged last slab of 3
+    def test_trial_uniforms_read_the_raw_generator_at_any_slab(self, monkeypatch, slab, n):
+        monkeypatch.setattr(engine_mod, "_STEP_SLAB", slab)
+        for index in (0, 5, 127, 128, 300):
+            raw = RandomStream(19).substream(index // 128).random((n, 128))
+            assert np.array_equal(RandomStream(19).trial_uniforms(index, n), raw[:, index % 128])
+
     def test_bulk_draw_equals_sequential(self):
         g1 = RandomStream(11).substream(0)
         g2 = RandomStream(11).substream(0)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import brokersim.experiments as experiments_mod
 from brokersim import (
     AgentStream,
     ExperimentConfig,
@@ -14,6 +17,7 @@ from brokersim import (
     run_experiment,
     uniform_offline_policy,
 )
+from brokersim.experiments import _row_seed
 
 HEADER = "n,online_mean,online_ci95_low,online_ci95_high,offline_bound,ratio,slack_adjusted_ratio"
 
@@ -43,6 +47,70 @@ class TestConfig:
         )
         with pytest.raises(ValueError):
             run_experiment(cfg)
+
+
+# the config fields each scenario reads besides scenario, n_values, trials and seed
+READS = {
+    "welfare-log-n": {"seller_dist", "buyer_dist"},
+    "profit-sqrt-n": {"seller_dist", "buyer_dist", "decay_eps"},
+    "stock-limited": {"seller_dist", "buyer_dist", "stock_cap"},
+    "balanced": {"seller_dist", "buyer_dist", "alpha"},
+    "pareto-blowup": {"pareto_eps"},
+}
+# a value away from the default for each optional field
+OTHER = {"seller_dist": "exp:1", "buyer_dist": "exp:1", "alpha": 2, "stock_cap": 3, "decay_eps": 0.3, "pareto_eps": 0.9}
+UNREAD = [(scenario, name) for scenario in READS for name in OTHER if name not in READS[scenario]]
+
+
+class TestScenarioFields:
+    @pytest.mark.parametrize("scenario,name", UNREAD, ids=[f"{s}-{n}" for s, n in UNREAD])
+    def test_refuses_a_field_the_scenario_does_not_read(self, scenario, name):
+        with pytest.raises(ValueError, match=f"scenario {scenario} does not read {name}"):
+            ExperimentConfig(scenario=scenario, n_values=(16,), **{name: OTHER[name]})
+
+    @pytest.mark.parametrize("scenario", sorted(READS))
+    def test_accepts_the_fields_it_reads_and_unread_defaults(self, scenario):
+        ExperimentConfig(scenario=scenario, n_values=(16,), **{name: OTHER[name] for name in READS[scenario]})
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name in OTHER}
+        ExperimentConfig(scenario=scenario, n_values=(16,), **defaults)
+
+    def test_accepts_the_benchmark_and_subset_configs(self):
+        # perfbench's balanced-random workload sets both distributions and alpha
+        ExperimentConfig(
+            scenario="balanced", n_values=(100, 1000), trials=2000, seed=1,
+            seller_dist="uniform:0,1", buyer_dist="uniform:0,1", alpha=2,
+        )
+        # acceptance criterion 10 replays a sweep prefix from a copy of every field
+        for cfg in (
+            ExperimentConfig(scenario="profit-sqrt-n", n_values=(256, 512, 1024), seed=1007),
+            ExperimentConfig(scenario="welfare-log-n", n_values=(16, 32, 64), seed=2011, seller_dist="exp:1", buyer_dist="exp:1"),
+            ExperimentConfig(scenario="pareto-blowup", n_values=(16, 32, 64), seed=2017, pareto_eps=0.5),
+            ExperimentConfig(scenario="balanced", n_values=(100, 1000, 10000), seed=3001, alpha=1),
+        ):
+            dataclasses.replace(cfg, n_values=cfg.n_values[:2])
+
+    @pytest.mark.parametrize(
+        "scenario,n_values,objective",
+        [
+            ("welfare-log-n", (4, 8), "welfare"),
+            ("profit-sqrt-n", (16, 32), "profit"),
+            ("stock-limited", (8, 16), "profit"),
+            ("balanced", (10, 20), "profit"),
+            ("pareto-blowup", (4, 8), "welfare"),
+        ],
+    )
+    def test_one_simulation_per_row(self, monkeypatch, scenario, n_values, objective):
+        calls, monte_carlo = [], experiments_mod.monte_carlo
+
+        def spy(stream, policy, f_s, f_b, trials, seed, stock_cap=None, objective="profit"):
+            calls.append((trials, seed, stock_cap, objective))
+            return monte_carlo(stream, policy, f_s, f_b, trials, seed, stock_cap, objective)
+
+        monkeypatch.setattr(experiments_mod, "monte_carlo", spy)
+        cfg = ExperimentConfig(scenario=scenario, n_values=n_values, trials=100, seed=6)
+        rows = run_experiment(cfg)
+        assert [r.n for r in rows] == list(n_values)
+        assert calls == [(cfg.trials, _row_seed(cfg, n), None, objective) for n in n_values]
 
 
 class TestEmitCsv:

@@ -62,7 +62,7 @@ ENTRY_POINTS = [
     ("run_trial.stock_cap", lambda v: run_trial(SSBB, FIXED, U, U, rng().random(4), stock_cap=v), 1),
     ("expected_outcome.stock_cap", lambda v: expected_outcome(SSBB, FIXED, U, U, stock_cap=v), 1),
     ("StockLimitedPolicy.capacity", lambda v: StockLimitedPolicy(v, U, U), 1),
-    ("ExperimentConfig.stock_cap", lambda v: ExperimentConfig(scenario="balanced", n_values=(10,), stock_cap=v), 1),
+    ("ExperimentConfig.stock_cap", lambda v: ExperimentConfig(scenario="stock-limited", n_values=(10,), stock_cap=v), 1),
     ("adaptive_dp_oracle.stock_cap", lambda v: adaptive_dp_oracle(SSBB, U, U, price_grid=8, stock_cap=v), 1),
     ("fifo_match.capacity", lambda v: fifo_match(SSBB, v), 1),
     ("brute_force_max_matching.capacity", lambda v: brute_force_max_matching(SSBB, v), 1),
