@@ -16,9 +16,10 @@ Draws are inverse-transform: step t consumes one uniform u and the value is
 (seller trades iff u < F_S(q), buyer iff u >= F_B(p)), which is the same
 event as the value-space rule up to ties of measure zero.
 
-One kernel, ``_resolve``, decides and scores every trade, for Monte Carlo
-chunks and for ``run_trial`` (width 1, per-step trace).  ``expected_outcome``
-gives the exact means from the stock Markov chain on the same price schedule.
+Prices are fixed before any value is drawn: ``_price_schedule`` builds the
+schedule (seller, price, thresh, cap) once per call for its three readers,
+``_mc_samples`` and ``run_trial`` (width 1, per-step trace), which pass it to
+the one kernel ``_resolve``, and ``expected_outcome``'s exact stock chain.
 
 Determinism: every draw follows the lane-block layout of ``RandomStream``,
 the one place it is written, so trial i of a run replays exactly as
@@ -185,8 +186,8 @@ def run_trial(
     ``uniforms.random(n)``.  Prices are NaN where the policy's own stock
     limit declined a seller.
     """
-    price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
-    seller = stream.roles == SELLER
+    sched = _price_schedule(policy, stream, f_s, f_b, stock_cap)
+    seller, price, _, cap = sched
     if isinstance(uniforms, np.random.Generator):
         uniforms = uniforms.random(len(stream))
     row = np.asarray(uniforms, dtype=float)
@@ -196,7 +197,7 @@ def run_trial(
     def draws(start, depth):
         return row[start : start + depth, None]
 
-    _, traded, stock_after = _resolve(stream, price, thresh, cap, f_s, f_b, (1,), draws, "profit")
+    _, traded, stock_after = _resolve(sched, f_s, f_b, (1,), draws, "profit")
 
     values = np.empty(len(stream))
     values[seller] = f_s.quantile(row[seller])
@@ -232,9 +233,9 @@ class MCEstimate:
 
 
 def _price_schedule(policy, stream, f_s, f_b, stock_cap):
-    """Posted price and its acceptance quantile per position, and the effective
-    stock cap: the tightest of the policy's limit, ``stock_cap`` and n_S.
-    Stock never exceeds n_S, so a cap at or above it never binds.
+    """The schedule (seller, price, thresh, cap): seller mask, posted price and
+    its acceptance quantile per step, and the effective cap, the tightest of
+    the policy's limit, ``stock_cap`` and n_S, which stock never exceeds.
 
     Prices depend on seller ordinals only, never on trade outcomes; the
     policy's stock limit binds in the kernel through the effective cap.
@@ -246,7 +247,7 @@ def _price_schedule(policy, stream, f_s, f_b, stock_cap):
     price[seller] = policy.seller_prices(stream.n_S)
     thresh = np.full(len(stream), float(f_b.cdf(policy.p)))
     thresh[seller] = f_s.cdf(price[seller])
-    return price, thresh, min(caps)
+    return seller, price, thresh, min(caps)
 
 
 def expected_outcome(
@@ -262,11 +263,11 @@ def expected_outcome(
     step t a seller moves up with probability ``thresh[t]``, paying q, and a
     buyer down with probability 1 - ``thresh[t]``, collecting p.
     """
-    price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
+    seller, price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     chain = np.zeros((2, cap + 1))  # rows P[stock = k] and E[profit so far * 1{stock = k}]
     chain[0, 0], welfare = 1.0, 0.0
-    for role, p, th in zip(stream.roles.tolist(), price.tolist(), thresh.tolist()):
-        if role == SELLER:
+    for sells, p, th in zip(seller.tolist(), price.tolist(), thresh.tolist()):
+        if sells:
             # stock is below n_S before the last seller, so P[stock = cap] > 0 here only if cap < n_S
             at_cap = chain[0, cap]
             welfare += (1.0 - at_cap) * f_s.upper_partial_mean(p) + at_cap * f_s.mean
@@ -281,31 +282,32 @@ def expected_outcome(
     return math.fsum(chain[1]), float(welfare), float(chain[0] @ np.arange(cap + 1))
 
 
-def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
+def _resolve(sched, f_s, f_b, shape, draws, objective):
     """Resolve every step of an array of trials: the one place trades are decided.
 
-    ``shape`` is the trials' shape; ``draws(start, depth)`` returns the
-    uniforms of steps start..start+depth-1 as an array whose axis -2 is the
-    step, so step k of a slab is ``slab[..., k, :]``.  Steps run in slabs of
-    ``_STEP_SLAB``, and per-trial results do not depend on the slab size.
-    Dead buyers are skipped (see the module docstring), so ``draws`` is
-    called with increasing starts that may jump past steps.  Returns the
-    per-trial objective ("profit" or "welfare") and, for a single trial
-    (shape ``(1,)``), its per-step traded flags and stock levels (empty
-    arrays otherwise).
+    ``sched`` is the schedule of ``_price_schedule`` and ``shape`` the trials'
+    shape; ``draws(start, depth)`` returns the uniforms of steps
+    start..start+depth-1 as an array whose axis -2 is the step, so step k of a
+    slab is ``slab[..., k, :]``.  Steps run in slabs of ``_STEP_SLAB``, and
+    per-trial results do not depend on the slab size.  Dead buyers are skipped
+    (see the module docstring), so ``draws`` is called with increasing starts
+    that may jump past steps.  Returns the per-trial objective ("profit" or
+    "welfare") and, for a single trial (shape ``(1,)``), its per-step traded
+    flags and stock levels (empty arrays otherwise).
     """
-    n = len(stream)
+    seller, price, thresh, cap = sched
+    n = seller.size
+    sellers = np.flatnonzero(seller)
     trace = shape == (1,)
-    capped = cap < stream.n_S
+    capped = cap < sellers.size
     need_values = objective == "welfare"
     stock = np.zeros(shape, dtype=np.int64)
     spend, income, wsum = np.zeros((3, *shape))
     traded = np.zeros(n if trace else 0, dtype=bool)
     stock_after = np.zeros(n if trace else 0, dtype=np.int64)
-    sellers = np.flatnonzero(stream.roles == SELLER)
     slab_start = 0
     while slab_start < n:
-        if stream.roles[slab_start] != SELLER and not stock.any():
+        if not seller[slab_start] and not stock.any():
             # no trial holds stock, so no buyer can trade before the next seller
             nxt = int(np.searchsorted(sellers, slab_start))
             if nxt == sellers.size:
@@ -315,10 +317,10 @@ def _resolve(stream, price, thresh, cap, f_s, f_b, shape, draws, objective):
         slab = draws(slab_start, stop - slab_start)
         window = slice(slab_start, stop)
         # the step loop's Python scalars are made per slab, so they stay slab-sized
-        steps = zip(stream.roles[window].tolist(), price[window].tolist(), thresh[window].tolist())
-        for k, (role, p, th) in enumerate(steps):
+        steps = zip(seller[window].tolist(), price[window].tolist(), thresh[window].tolist())
+        for k, (sells, p, th) in enumerate(steps):
             u = slab[..., k, :]
-            if role == SELLER:
+            if sells:
                 trade = u < th
                 if capped:
                     trade &= stock < cap
@@ -345,7 +347,7 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
     """Per-trial objective values, vectorized across chunks of whole lane
     blocks of ``RandomStream(seed)`` (see the module docstring)."""
     trials = require_int("trials", trials, 2)
-    price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
+    sched = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     root = RandomStream(seed)
     n_blocks = -(-trials // _LANES)
     chunk = max(1, _TRIAL_CHUNK // _LANES)
@@ -356,7 +358,7 @@ def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):
     for b0 in range(0, n_blocks, chunk):
         b1 = min(b0 + chunk, n_blocks)
         draws = root._lane_blocks(b0, b1, slab)
-        out[b0:b1] = _resolve(stream, price, thresh, cap, f_s, f_b, (b1 - b0, _LANES), draws, objective)[0]
+        out[b0:b1] = _resolve(sched, f_s, f_b, (b1 - b0, _LANES), draws, objective)[0]
     return out.reshape(-1)[:trials]
 
 

@@ -4,7 +4,8 @@ sweep, emitted as ratio rows / CSV.
 Scenarios (sweep variable in parentheses):
 
 * ``welfare-log-n`` (n): median policy on S B^n vs the prophet threshold
-  value mu_B^(n)/2; the ratio grows like the harmonic number H_n.
+  value mu_B^(n)/2; the ratio grows like the harmonic number H_n, and
+  polynomially under heavy-tailed ``pareto-eps:<eps>`` priors on both sides.
 * ``profit-sqrt-n`` (n, even): decaying-seller-price policy on
   S^(n/2) B^(n/2) with uniform values vs the exact expected profit of the
   fixed-price offline witness; the ratio grows like sqrt(n).
@@ -12,8 +13,6 @@ Scenarios (sweep variable in parentheses):
   analytic kappa*H_n*mu_B profit bound, both ends capped at K.
 * ``balanced`` (m): balanced policy on (S^alpha B)^m vs m times the
   fractional per-buyer optimum; the ratio tends to 1.
-* ``pareto-blowup`` (n): median policy on S B^n with heavy-tailed Pareto
-  values on both sides; the ratio grows polynomially.
 
 Each scenario reads its own config fields besides n, trials and seed, and
 ``ExperimentConfig`` refuses any other field set away from its default.
@@ -30,7 +29,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import benchmarks
-from .distributions import Distribution, Pareto, Uniform, parse_distribution
+from .distributions import Distribution, Uniform, parse_distribution
 from .engine import monte_carlo
 from .errors import require_int
 from .policies import (
@@ -50,7 +49,6 @@ _SCENARIO_TABLE = {
     "profit-sqrt-n": (tuple(2**k for k in range(8, 17)), ("seller_dist", "buyer_dist", "decay_eps")),
     "stock-limited": (tuple(2**k for k in range(6, 13)), ("seller_dist", "buyer_dist", "stock_cap")),
     "balanced": ((100, 1000, 10000), ("seller_dist", "buyer_dist", "alpha")),
-    "pareto-blowup": (tuple(2**k for k in range(4, 15)), ("pareto_eps",)),
 }
 DEFAULT_SWEEPS = {name: sweep for name, (sweep, _) in _SCENARIO_TABLE.items()}
 SCENARIOS = tuple(_SCENARIO_TABLE)
@@ -67,7 +65,6 @@ class ExperimentConfig:
     alpha: int = 1
     stock_cap: int = 2
     decay_eps: float = 0.05
-    pareto_eps: float = 0.5
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -116,7 +113,7 @@ def _require_uniform(d: Distribution, what: str) -> Uniform:
 
 def _scenario_point(cfg, n, f_s, f_b):
     """One sweep point: (stream, policy, objective, offline benchmark value)."""
-    if cfg.scenario in ("welfare-log-n", "pareto-blowup"):
+    if cfg.scenario == "welfare-log-n":
         return AgentStream.from_pattern(f"S B^{n}"), MedianPolicy(f_s, f_b), "welfare", benchmarks.prophet_price(f_b, n)
 
     if cfg.scenario == "profit-sqrt-n":
@@ -141,19 +138,15 @@ def _scenario_point(cfg, n, f_s, f_b):
 
 def run_experiment(cfg: ExperimentConfig) -> list[RatioRow]:
     """One RatioRow per sweep value, each from one Monte Carlo run; deterministic."""
-    if cfg.scenario == "pareto-blowup":
-        f_s = f_b = Pareto(cfg.pareto_eps)
-    else:
-        f_s = parse_distribution(cfg.seller_dist)
-        f_b = parse_distribution(cfg.buyer_dist)
-    mu_s = f_s.mean
+    f_s = parse_distribution(cfg.seller_dist)
+    f_b = parse_distribution(cfg.buyer_dist)
     rows = []
     for n in cfg.n_values:
         stream, policy, objective, offline = _scenario_point(cfg, n, f_s, f_b)
         online = monte_carlo(stream, policy, f_s, f_b, cfg.trials, _row_seed(cfg, n), objective=objective)
         if online.mean > 0.0:
             ratio = offline / online.mean
-            adjusted = (offline - mu_s) / online.mean
+            adjusted = (offline - f_s.mean) / online.mean
         else:
             ratio = math.inf
             adjusted = math.inf

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,12 +195,27 @@ class TestAdaptiveOracle:
         assert adaptive_dp_oracle(stream("SB"), U, U) <= 0.125
 
     def test_size_limits(self):
-        with pytest.raises(ValueError):
-            adaptive_dp_oracle(stream("(SB)^16"), U, U)
+        # the budget bounds n x (cap + 1) x grid: (SB)^16 at grid 1024 is 32 x 17 x 1024 units and runs
+        assert adaptive_dp_oracle(stream("(SB)^16"), U, U) <= 16 * solve_fractional(U, U, 1).per_buyer_value + 32 / 1024
+        # (SB)^600 uncapped is 1200 x 601 x 1024, about 7.4e8 units: refused before any array is built
+        with pytest.raises(ValueError, match="DP budget"):
+            adaptive_dp_oracle(stream("(SB)^600"), U, U)
         with pytest.raises(ValueError):
             adaptive_dp_oracle(stream("SB"), U, U, price_grid=4096)
         with pytest.raises(ValueError):
             adaptive_dp_oracle(stream("SB"), U, U, stock_cap=5)
+
+    def test_budget_refusal_builds_no_array(self):
+        # (S^4096 B^4096) uncapped at grid 2048: 8192 x 4097 x 2048 units, about 6.9e10
+        s = stream("S^4096 B^4096")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="DP budget"):
+                adaptive_dp_oracle(s, U, U, price_grid=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_value_monotone_in_stock_cap(self):
         s = stream("S^3 B^3")

@@ -174,8 +174,8 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "argv,name",
         [
-            (["welfare-log-n", "--alpha", "7", "--stock-cap", "9", "--decay-eps", "0.3", "--pareto-eps", "0.9"], "alpha"),
-            (["pareto-blowup", "--seller-dist", "exp:1", "--buyer-dist", "uniform:0,3"], "seller_dist"),
+            (["welfare-log-n", "--alpha", "7", "--stock-cap", "9", "--decay-eps", "0.3"], "alpha"),
+            (["balanced", "--stock-cap", "3", "--decay-eps", "0.3"], "stock_cap"),
         ],
     )
     def test_unread_option_is_usage_error(self, capsys, tmp_path, argv, name):
@@ -193,6 +193,13 @@ class TestExperiment:
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "mystery"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["pareto-blowup"], ["welfare-log-n", "--pareto-eps", "0.5"]])
+    def test_folded_pareto_scenario_is_gone(self, capsys, argv):
+        # heavy tails run as welfare-log-n with pareto-eps:<eps> priors; the old scenario and flag are usage errors
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *argv, "--n-values", "16", "--trials", "100"])
         assert exc.value.code == 2
 
 

@@ -184,7 +184,8 @@ class TestCapAtOrAboveNS:
     def test_matches_uncapped(self, text, spec, f_s, f_b, extra):
         s, policy = stream(text), build_policy(spec, f_s, f_b)
         cap = s.n_S + extra
-        assert engine_mod._price_schedule(policy, s, f_s, f_b, cap)[2] == s.n_S
+        *_, folded = engine_mod._price_schedule(policy, s, f_s, f_b, cap)
+        assert folded == s.n_S
         assert expected_outcome(s, policy, f_s, f_b, cap) == expected_outcome(s, policy, f_s, f_b)
         u = RandomStream(11).trial_uniforms(0, len(s))
         got, want = run_trial(s, policy, f_s, f_b, u, stock_cap=cap), run_trial(s, policy, f_s, f_b, u)
@@ -193,6 +194,34 @@ class TestCapAtOrAboveNS:
         for objective in ("profit", "welfare"):
             capped = monte_carlo(s, policy, f_s, f_b, 64, 3, stock_cap=cap, objective=objective)
             assert capped == monte_carlo(s, policy, f_s, f_b, 64, 3, objective=objective)
+
+
+class TestPriceSchedule:
+    @pytest.mark.parametrize("reader,kernel_calls", [("monte_carlo", 2), ("run_trial", 1), ("expected_outcome", 0)])
+    def test_one_schedule_per_call(self, monkeypatch, reader, kernel_calls):
+        # 8197 trials: two chunks, so Monte Carlo runs the kernel twice on its one schedule
+        built, read = [], []
+        schedule, resolve = engine_mod._price_schedule, engine_mod._resolve
+
+        def building(*args):
+            built.append(schedule(*args))
+            return built[-1]
+
+        def reading(sched, *rest):
+            read.append(sched)
+            return resolve(sched, *rest)
+
+        monkeypatch.setattr(engine_mod, "_price_schedule", building)
+        monkeypatch.setattr(engine_mod, "_resolve", reading)
+        s, policy = stream("S^600 B^600"), DecayingSellerPolicy(0.05, U, U)
+        calls = {
+            "monte_carlo": lambda: monte_carlo(s, policy, U, U, 8197, 1),
+            "run_trial": lambda: run_trial(s, policy, U, U, RandomStream(1).trial_uniforms(0, len(s))),
+            "expected_outcome": lambda: expected_outcome(s, policy, U, U),
+        }
+        calls[reader]()
+        assert len(built) == 1 and len(read) == kernel_calls
+        assert all(sched is built[0] for sched in read)
 
 
 def hand_log(roles, traded, stock_after):
@@ -371,7 +400,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the price and threshold arrays take 16 bytes a step; allow 24
+        # the schedule's seller mask, price and threshold arrays take 17 bytes a step; allow 24
         assert peak <= 24 * len(s)
 
 

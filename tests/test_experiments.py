@@ -19,6 +19,8 @@ from brokersim import (
 )
 from brokersim.experiments import _row_seed
 
+PARETO = "pareto-eps:0.5"
+
 HEADER = "n,online_mean,online_ci95_low,online_ci95_high,offline_bound,ratio,slack_adjusted_ratio"
 
 
@@ -55,10 +57,9 @@ READS = {
     "profit-sqrt-n": {"seller_dist", "buyer_dist", "decay_eps"},
     "stock-limited": {"seller_dist", "buyer_dist", "stock_cap"},
     "balanced": {"seller_dist", "buyer_dist", "alpha"},
-    "pareto-blowup": {"pareto_eps"},
 }
 # a value away from the default for each optional field
-OTHER = {"seller_dist": "exp:1", "buyer_dist": "exp:1", "alpha": 2, "stock_cap": 3, "decay_eps": 0.3, "pareto_eps": 0.9}
+OTHER = {"seller_dist": "exp:1", "buyer_dist": "exp:1", "alpha": 2, "stock_cap": 3, "decay_eps": 0.3}
 UNREAD = [(scenario, name) for scenario in READS for name in OTHER if name not in READS[scenario]]
 
 
@@ -67,6 +68,12 @@ class TestScenarioFields:
     def test_refuses_a_field_the_scenario_does_not_read(self, scenario, name):
         with pytest.raises(ValueError, match=f"scenario {scenario} does not read {name}"):
             ExperimentConfig(scenario=scenario, n_values=(16,), **{name: OTHER[name]})
+
+    def test_every_optional_field_is_read_by_some_scenario(self):
+        # a field no scenario reads could only be refused, so it would be a dead option
+        optional = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"scenario", "n_values", "trials", "seed"}
+        assert optional == set(OTHER) == set().union(*READS.values())
+        assert {s: set(reads) for s, (_, reads) in experiments_mod._SCENARIO_TABLE.items()} == READS
 
     @pytest.mark.parametrize("scenario", sorted(READS))
     def test_accepts_the_fields_it_reads_and_unread_defaults(self, scenario):
@@ -84,22 +91,22 @@ class TestScenarioFields:
         for cfg in (
             ExperimentConfig(scenario="profit-sqrt-n", n_values=(256, 512, 1024), seed=1007),
             ExperimentConfig(scenario="welfare-log-n", n_values=(16, 32, 64), seed=2011, seller_dist="exp:1", buyer_dist="exp:1"),
-            ExperimentConfig(scenario="pareto-blowup", n_values=(16, 32, 64), seed=2017, pareto_eps=0.5),
+            ExperimentConfig(scenario="welfare-log-n", n_values=(16, 32, 64), seed=2017, seller_dist=PARETO, buyer_dist=PARETO),
             ExperimentConfig(scenario="balanced", n_values=(100, 1000, 10000), seed=3001, alpha=1),
         ):
             dataclasses.replace(cfg, n_values=cfg.n_values[:2])
 
     @pytest.mark.parametrize(
-        "scenario,n_values,objective",
+        "scenario,n_values,objective,dist",
         [
-            ("welfare-log-n", (4, 8), "welfare"),
-            ("profit-sqrt-n", (16, 32), "profit"),
-            ("stock-limited", (8, 16), "profit"),
-            ("balanced", (10, 20), "profit"),
-            ("pareto-blowup", (4, 8), "welfare"),
+            ("welfare-log-n", (4, 8), "welfare", "uniform:0,1"),
+            ("profit-sqrt-n", (16, 32), "profit", "uniform:0,1"),
+            ("stock-limited", (8, 16), "profit", "uniform:0,1"),
+            ("balanced", (10, 20), "profit", "uniform:0,1"),
+            ("welfare-log-n", (4, 8), "welfare", PARETO),
         ],
     )
-    def test_one_simulation_per_row(self, monkeypatch, scenario, n_values, objective):
+    def test_one_simulation_per_row(self, monkeypatch, scenario, n_values, objective, dist):
         calls, monte_carlo = [], experiments_mod.monte_carlo
 
         def spy(stream, policy, f_s, f_b, trials, seed, stock_cap=None, objective="profit"):
@@ -107,7 +114,7 @@ class TestScenarioFields:
             return monte_carlo(stream, policy, f_s, f_b, trials, seed, stock_cap, objective)
 
         monkeypatch.setattr(experiments_mod, "monte_carlo", spy)
-        cfg = ExperimentConfig(scenario=scenario, n_values=n_values, trials=100, seed=6)
+        cfg = ExperimentConfig(scenario=scenario, n_values=n_values, trials=100, seed=6, seller_dist=dist, buyer_dist=dist)
         rows = run_experiment(cfg)
         assert [r.n for r in rows] == list(n_values)
         assert calls == [(cfg.trials, _row_seed(cfg, n), None, objective) for n in n_values]
@@ -197,12 +204,41 @@ class TestRunExperiment:
             assert r.online_mean > 0
             assert r.ratio > 1
 
-    def test_pareto_blowup_uses_pareto_values(self):
-        cfg = ExperimentConfig(scenario="pareto-blowup", n_values=(8, 16), trials=400, seed=21, pareto_eps=0.5)
+    def test_welfare_on_pareto_priors_uses_pareto_values(self):
+        cfg = ExperimentConfig(scenario="welfare-log-n", n_values=(8, 16), trials=400, seed=21, seller_dist=PARETO, buyer_dist=PARETO)
         rows = run_experiment(cfg)
         # pareto mean is 2, so the slack adjustment subtracts 2
         for r in rows:
             assert r.slack_adjusted_ratio == pytest.approx((r.offline_bound - 2.0) / r.online_mean)
+
+    @pytest.mark.parametrize(
+        "eps,rows",
+        [
+            (0.3, [
+                (16, 5.960795563275528, 4.918077219007768, 7.0035139075432875, 10.48611341536358,
+                 1.7591801805733018, 1.1999707096312004),
+                (32, 5.147628616523334, 4.694339330506219, 5.6009179025404485, 16.978603249770806,
+                 3.2983349255755003, 2.6507875631582327),
+            ]),
+            (0.5, [
+                (16, 2.9027744142203376, 2.7853411172133073, 3.0202077112273678, 3.5727062198785178,
+                 1.2307901717667986, 0.5417941580902815),
+                (32, 2.788432577680383, 2.7136381289775953, 2.8632270263831705, 5.032877080900354,
+                 1.8049125954076537, 1.0876637667973732),
+            ]),
+            (0.7, [
+                (16, 1.7691596028756331, 1.7509601314088323, 1.787359074342434, 1.5008490180914595,
+                 0.8483400907707506, 0.04085419393623349),
+                (32, 1.7494482411414425, 1.7338197184873354, 1.7650767637955496, 1.8417480353324847,
+                 1.0527593740817507, 0.23617538206873467),
+            ]),
+        ],
+    )
+    def test_pareto_priors_reproduce_the_heavy_tail_rows(self, eps, rows):
+        # the rows of the former pareto-blowup scenario (seed 2017, 10,000 trials), kept bit for bit
+        dist = f"pareto-eps:{eps}"
+        cfg = ExperimentConfig(scenario="welfare-log-n", n_values=(16, 32), seed=2017, seller_dist=dist, buyer_dist=dist)
+        assert [dataclasses.astuple(r) for r in run_experiment(cfg)] == rows
 
 
 class TestLogLogSlope:
