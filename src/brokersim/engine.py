@@ -8,8 +8,9 @@ Trade semantics per step t (stock starts at 0):
 * buyer: always sees the posted p; trades iff the drawn value is at least p
   and stock is positive; stock then shrinks by one and p is collected.
 
-Profit is income minus spend.  Welfare is the summed values of sellers who
-kept their item plus buyers who obtained one.
+Profit is income minus spend, priced from per-trial counts once a run ends
+(items sold; items bought, unless seller prices vary).  Welfare sums the
+values of sellers who kept their item and of buyers who obtained one.
 
 Draws are inverse-transform: step t consumes one uniform u and the value is
 ``quantile(u)``.  Accept/reject comparisons are made in quantile space
@@ -36,7 +37,7 @@ Dead buyers are skipped: when a slab would start on a buyer while no trial of
 the chunk holds stock, it starts at the next seller instead, and the run ends
 if none is left.  Once every trial's stock is gone, the kernel resolves at
 most the rest of the current slab, under ``_STEP_SLAB`` (32) steps.  Those
-buyers cannot trade, so stock, spend, income and welfare are exactly what
+buyers cannot trade, so stock, counts, spend and welfare are exactly what
 stepping through them would give.  Their draws are still consumed: the draw
 source skips over them, so step t still reads its own draw, and a trace
 still values every step from its own draw.
@@ -265,20 +266,26 @@ def expected_outcome(
     """
     seller, price, thresh, cap = _price_schedule(policy, stream, f_s, f_b, stock_cap)
     chain = np.zeros((2, cap + 1))  # rows P[stock = k] and E[profit so far * 1{stock = k}]
-    chain[0, 0], welfare = 1.0, 0.0
+    chain[0, 0], welfare, lo, hi = 1.0, 0.0, 0, 0  # levels outside lo..hi hold 0.0, which no step changes
     for sells, p, th in zip(seller.tolist(), price.tolist(), thresh.tolist()):
         if sells:
             # stock is below n_S before the last seller, so P[stock = cap] > 0 here only if cap < n_S
             at_cap = chain[0, cap]
             welfare += (1.0 - at_cap) * f_s.upper_partial_mean(p) + at_cap * f_s.mean
-            src, dst, rate, pay = slice(0, cap), slice(1, None), th, -p
+            hi = min(hi + 1, cap)
+            src, dst, rate, pay = slice(lo, hi), slice(lo + 1, hi + 1), th, -p
         else:
             welfare += (1.0 - chain[0, 0]) * f_b.upper_partial_mean(p)
-            src, dst, rate, pay = slice(1, None), slice(0, cap), 1.0 - th, p
+            lo = max(lo - 1, 0)
+            src, dst, rate, pay = slice(lo + 1, hi + 1), slice(lo, hi), 1.0 - th, p
         moved = rate * chain[:, src]
         chain[:, src] -= moved
         chain[:, dst] += moved
         chain[1, dst] += pay * moved[0]
+        while lo < hi and not (chain[0, lo] or chain[1, lo]):
+            lo += 1
+        while hi > lo and not (chain[0, hi] or chain[1, hi]):
+            hi -= 1
     return math.fsum(chain[1]), float(welfare), float(chain[0] @ np.arange(cap + 1))
 
 
@@ -293,7 +300,8 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     (see the module docstring), so ``draws`` is called with increasing starts
     that may jump past steps.  Returns the per-trial objective ("profit" or
     "welfare") and, for a single trial (shape ``(1,)``), its per-step traded
-    flags and stock levels (empty arrays otherwise).
+    flags and stock levels (empty arrays otherwise).  Profit is priced from
+    the counts at the end, but spend at varying seller prices is summed per step.
     """
     seller, price, thresh, cap = sched
     n = seller.size
@@ -301,8 +309,10 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     trace = shape == (1,)
     capped = cap < sellers.size
     need_values = objective == "welfare"
-    stock = np.zeros(shape, dtype=np.int64)
-    spend, income, wsum = np.zeros((3, *shape))
+    step_spend = not need_values and price.max(where=seller, initial=-np.inf) != price.min(where=seller, initial=np.inf)
+    stock, sold = np.zeros((2, *shape), dtype=np.int32)  # both <= n_S <= streams.MAX_EXPANSION (10^8) < 2^31
+    trade, room = np.empty((2, *shape), dtype=bool)
+    spend, score = np.zeros((2, *shape))
     traded = np.zeros(n if trace else 0, dtype=bool)
     stock_after = np.zeros(n if trace else 0, dtype=np.int64)
     slab_start = 0
@@ -321,26 +331,35 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
         for k, (sells, p, th) in enumerate(steps):
             u = slab[..., k, :]
             if sells:
-                trade = u < th
+                np.less(u, th, out=trade)
                 if capped:
-                    trade &= stock < cap
+                    trade &= np.less(stock, cap, out=room)
                 stock += trade
                 if need_values:
-                    wsum += ~trade * f_s.inverse_cdf(u)
-                else:
+                    score += ~trade * f_s.inverse_cdf(u)
+                elif step_spend:
                     spend += trade * p
             else:
-                trade = (u >= th) & (stock > 0)
+                np.greater_equal(u, th, out=trade)
+                trade &= np.greater(stock, 0, out=room)
                 stock -= trade
                 if need_values:
-                    wsum += trade * f_b.inverse_cdf(u)
+                    score += trade * f_b.inverse_cdf(u)
                 else:
-                    income += trade * p
+                    sold += trade
             if trace:
                 traded[slab_start + k] = trade[0]
                 stock_after[slab_start + k] = stock[0]
         slab_start = stop
-    return (wsum if need_values else income - spend), traded, stock_after
+    if not need_values:
+        spend = spend if step_spend else _fold_sums(price[sellers[0]], sold + stock)
+        score = _fold_sums(price[seller.argmin()] if n else 0.0, sold) - spend
+    return score, traded, stock_after
+
+
+def _fold_sums(x, counts):
+    """Entry i is 0.0 + x + x ... (counts[i] terms, in order): a per-step sum of x, bit for bit."""
+    return np.cumsum(np.r_[0.0, np.full(int(counts.max()), x)])[counts]
 
 
 def _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective):

@@ -153,31 +153,45 @@ def resolve_trial_by_steps(stream, policy, f_s, f_b, u, stock_cap=None):
     u >= F_B(p) and stock is positive.  A value is ``quantile(u)``.  Sums
     run in step order.
     """
+    return resolve_trials_by_steps(stream, policy, f_s, f_b, [u], stock_cap)[0]
+
+
+def resolve_trials_by_steps(stream, policy, f_s, f_b, rows, stock_cap=None):
+    """``resolve_trial_by_steps`` for each row of uniforms in ``rows``, with
+    the acceptance quantiles F_S(q_j) and F_B(p) computed once for all rows."""
     caps = [c for c in (policy.stock_limit, stock_cap) if c is not None]
     cap = min(caps, default=math.inf)
     q = policy.seller_prices(stream.n_S).tolist()
     p = float(policy.p)
-    stock, j = 0, 0
-    spend = income = welfare = 0.0
-    traded, stock_after = [], []
-    for role, x in zip(stream.roles.tolist(), np.asarray(u, dtype=float).tolist()):
-        if role == SELLER:
-            trade = x < f_s.cdf(q[j]) and stock < cap
-            if trade:
-                stock += 1
-                spend += q[j]
+    sells_below = [f_s.cdf(x) for x in q]
+    buys_from = f_b.cdf(p)
+    roles = stream.roles.tolist()
+    trials = []
+    for u in rows:
+        u = np.asarray(u, dtype=float)
+        seller_values, buyer_values = f_s.quantile(u).tolist(), f_b.quantile(u).tolist()
+        stock, j = 0, 0
+        spend = income = welfare = 0.0
+        traded, stock_after = [], []
+        for t, (role, x) in enumerate(zip(roles, u.tolist())):
+            if role == SELLER:
+                trade = x < sells_below[j] and stock < cap
+                if trade:
+                    stock += 1
+                    spend += q[j]
+                else:
+                    welfare += seller_values[t]
+                j += 1
             else:
-                welfare += f_s.quantile(x)
-            j += 1
-        else:
-            trade = x >= f_b.cdf(p) and stock > 0
-            if trade:
-                stock -= 1
-                income += p
-                welfare += f_b.quantile(x)
-        traded.append(trade)
-        stock_after.append(stock)
-    return StepByStepTrial(income - spend, welfare, stock, traded, stock_after)
+                trade = x >= buys_from and stock > 0
+                if trade:
+                    stock -= 1
+                    income += p
+                    welfare += buyer_values[t]
+            traded.append(trade)
+            stock_after.append(stock)
+        trials.append(StepByStepTrial(income - spend, welfare, stock, traded, stock_after))
+    return trials
 
 
 def by_role_rank(stream, u_sellers, u_buyers):

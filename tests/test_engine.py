@@ -26,10 +26,12 @@ from brokersim import (
     run_trial,
 )
 from brokersim.engine import MCEstimate, TradeLog, _mc_samples
+from brokersim.streams import MAX_EXPANSION
 from oracles import (
     balanced_online_profit_expectation,
     by_role_rank,
     resolve_trial_by_steps,
+    resolve_trials_by_steps,
     tail_value_by_quadrature,
     variance_sum_by_generator,
 )
@@ -404,6 +406,54 @@ class TestMonteCarlo:
         assert peak <= 24 * len(s)
 
 
+class TestProfitFromCounts:
+    """The kernel counts trades and prices the counts once a run ends.  On
+    these long streams trade counts reach hundreds, where the k-fold sum of a
+    price is not k times it, so only a step-order sum matches the oracle."""
+
+    # (stream, policy on U(0,1) priors, stock_cap) and the monte_carlo means
+    # (profit, welfare) at seed 1 and 300 trials, recorded from the kernel
+    # that summed every price step by step
+    CASES = [
+        ("(S^2 B)^1500", "fixed:0.3,0.7", None, (44.16399999999287, 1746.1985840041139)),
+        ("(SB)^2000", "stock:3", None, (53.94669535263581, 1088.0955078107938)),
+        ("(SB)^2000", "fixed:0.3,0.7", 2, (177.14733333333137, 1310.097059749286)),
+        ("S^600 B^600", "decay:0.05", None, (6.268089516902448, 310.61056755338865)),
+    ]
+
+    def test_a_fold_sum_is_not_a_product(self):
+        k = np.arange(601)
+        for x, differ in ((0.3, 585), (0.7, 588)):
+            running = [0.0]
+            for _ in k[1:]:
+                running.append(running[-1] + x)
+            sums = engine_mod._fold_sums(x, k)
+            assert np.array_equal(sums, running)
+            assert np.array_equal(sums[:6], k[:6] * x)
+            assert np.count_nonzero(sums != k * x) == differ
+
+    @pytest.mark.parametrize("text,spec,cap", [case[:3] for case in CASES])
+    def test_samples_equal_the_step_by_step_oracle(self, text, spec, cap):
+        s, policy, trials = stream(text), build_policy(spec, U, U), 300
+        root = RandomStream(1)
+        # trial i reads column i % 128 of its block (see TestRandomStream)
+        rows = np.concatenate([root.substream(b).random((len(s), engine_mod._LANES)).T for b in range(3)])
+        refs = resolve_trials_by_steps(s, policy, U, U, rows[:trials], cap)
+        for objective in ("profit", "welfare"):
+            got = _mc_samples(s, policy, U, U, trials, 1, cap, objective)
+            assert np.array_equal(got, [getattr(r, objective) for r in refs]), objective
+
+    @pytest.mark.parametrize("text,spec,cap,means", CASES)
+    def test_means_equal_the_per_step_sums(self, text, spec, cap, means):
+        s, policy = stream(text), build_policy(spec, U, U)
+        got = tuple(monte_carlo(s, policy, U, U, 300, 1, cap, objective).mean for objective in ("profit", "welfare"))
+        assert got == means
+
+    def test_int32_counters_cannot_overflow(self):
+        # stock and sold never exceed n_S, and a parsed stream holds at most MAX_EXPANSION roles
+        assert MAX_EXPANSION <= np.iinfo(np.int32).max
+
+
 class TestDeadBuyerSkip:
     """A slab that would start on a buyer while no trial holds stock starts at
     the next seller instead; the skipped steps still consume their draws."""
@@ -610,3 +660,20 @@ class TestExpectedOutcome:
         # which: 0 profit, 1 welfare, 2 leftover stock
         outcome = expected_outcome(stream(text), build_policy(spec, f_s, f_b), f_s, f_b, cap)
         assert outcome[which] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "text,spec,f_s,f_b,cap,expected",
+        [
+            ("S^4096 B^4096", "decay:0.05", U, U, None, (16.108161206908893, 2073.0056172965997, 4.557e-319)),
+            ("(SB)^2000", "balanced:1", U, U, None, (233.98301815837456, 1356.3135211847703, 21.355975788834094)),
+            ("S^2048 B^2048", "fixed:0.125,0.5", U, U, None, (95.99999999999983, 1199.9999999999984, 1.497011482367245e-167)),
+            ("(S^2 B)^1000", "median", U, U, 3, (-1.1083916083916092, 1247.5629981906093, 2.2167832167832153)),
+            # P[stock = 0] = 2^-1200 underflows to 0.0, so the lowest level climbs, then falls back
+            ("S^1200 B^1200", "median", U, U, None, (-4.885516184601269, 892.6717257230978, 9.771032369202981)),
+            # every seller sells and every buyer buys: one level holds all the mass
+            ("(S^3 B^2)^40 B^40", "fixed:0.25,0.75", LOW, HIGH, None, (60.0, 105.0, 0.0)),
+        ],
+    )
+    def test_trimmed_chain_equals_the_full_chain(self, text, spec, f_s, f_b, cap, expected):
+        # recorded from the chain that stepped every level 0..cap at every step
+        assert expected_outcome(stream(text), build_policy(spec, f_s, f_b), f_s, f_b, cap) == expected
