@@ -133,19 +133,18 @@ def adaptive_dp_oracle(
     array step over all stock levels: a seller at stock k < cap accepts
     price q with probability F_S(q) and moves to k + 1 for cash -q; a
     buyer at stock k > 0 accepts p with probability 1 - F_B(p) and moves
-    to k - 1 for cash +p; the remaining level keeps its value.
-    Refuses, before building any array, grids above 2048 and runs whose
-    n x (cap + 1) x price_grid exceeds ``_DP_BUDGET``.
+    to k - 1 for cash +p; the remaining level keeps its value.  The cap is
+    ``AgentStream.fold_cap`` of ``stock_cap``, so a cap at or above n_S gives
+    the uncapped value.  Refuses, before building any array, grids above
+    2048 and runs whose n x (cap + 1) x price_grid exceeds ``_DP_BUDGET``.
     """
     n = len(stream)
     if require_int("price_grid", price_grid, 2) > 2048:
         raise ValueError(f"price grid must lie in [2, 2048], got {price_grid}")
-    cap = stream.n_S if stock_cap is None else require_int("stock_cap", stock_cap, 1)
-    if cap > n:
-        raise ValueError(f"stock_cap {stock_cap} exceeds stream length {n}")
+    cap = stream.fold_cap(stock_cap=stock_cap)
     if (units := n * (cap + 1) * price_grid) > _DP_BUDGET:
         raise ValueError(f"n x (cap + 1) x price_grid = {units} exceeds the DP budget {_DP_BUDGET}")
-    if n == 0 or cap == 0:
+    if cap == 0:  # no seller, so no trade
         return 0.0
 
     grid_u = np.arange(price_grid) / price_grid

@@ -198,7 +198,8 @@ def run_trial(
     def draws(start, depth):
         return row[start : start + depth, None]
 
-    _, traded, stock_after = _resolve(sched, f_s, f_b, (1,), draws, "profit")
+    _, stock_after = _resolve(sched, f_s, f_b, (1,), draws, "profit")
+    traded = np.diff(stock_after, prepend=0) != 0  # every trade moves stock by one, nothing else does
 
     values = np.empty(len(stream))
     values[seller] = f_s.quantile(row[seller])
@@ -235,20 +236,19 @@ class MCEstimate:
 
 def _price_schedule(policy, stream, f_s, f_b, stock_cap):
     """The schedule (seller, price, thresh, cap): seller mask, posted price and
-    its acceptance quantile per step, and the effective cap, the tightest of
-    the policy's limit, ``stock_cap`` and n_S, which stock never exceeds.
+    its acceptance quantile per step, and the effective cap
+    (``AgentStream.fold_cap`` of the policy's limit and ``stock_cap``).
 
     Prices depend on seller ordinals only, never on trade outcomes; the
     policy's stock limit binds in the kernel through the effective cap.
     """
-    stock_cap = None if stock_cap is None else require_int("stock_cap", stock_cap, 1)
-    caps = [c for c in (policy.stock_limit, stock_cap, stream.n_S) if c is not None]
+    cap = stream.fold_cap(stock_limit=policy.stock_limit, stock_cap=stock_cap)
     seller = stream.roles == SELLER
     price = np.full(len(stream), float(policy.p))
     price[seller] = policy.seller_prices(stream.n_S)
     thresh = np.full(len(stream), float(f_b.cdf(policy.p)))
     thresh[seller] = f_s.cdf(price[seller])
-    return seller, price, thresh, min(caps)
+    return seller, price, thresh, cap
 
 
 def expected_outcome(
@@ -299,9 +299,10 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     per-trial results do not depend on the slab size.  Dead buyers are skipped
     (see the module docstring), so ``draws`` is called with increasing starts
     that may jump past steps.  Returns the per-trial objective ("profit" or
-    "welfare") and, for a single trial (shape ``(1,)``), its per-step traded
-    flags and stock levels (empty arrays otherwise).  Profit is priced from
-    the counts at the end, but spend at varying seller prices is summed per step.
+    "welfare") and, for a single trial (shape ``(1,)``), its per-step stock
+    levels (an empty array otherwise), its only trace: a step traded iff its
+    stock moved.  Profit is priced from the counts at the end, but spend at
+    varying seller prices is summed per step.
     """
     seller, price, thresh, cap = sched
     n = seller.size
@@ -313,7 +314,6 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     stock, sold = np.zeros((2, *shape), dtype=np.int32)  # both <= n_S <= streams.MAX_EXPANSION (10^8) < 2^31
     trade, room = np.empty((2, *shape), dtype=bool)
     spend, score = np.zeros((2, *shape))
-    traded = np.zeros(n if trace else 0, dtype=bool)
     stock_after = np.zeros(n if trace else 0, dtype=np.int64)
     slab_start = 0
     while slab_start < n:
@@ -348,13 +348,12 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
                 else:
                     sold += trade
             if trace:
-                traded[slab_start + k] = trade[0]
                 stock_after[slab_start + k] = stock[0]
         slab_start = stop
     if not need_values:
         spend = spend if step_spend else _fold_sums(price[sellers[0]], sold + stock)
         score = _fold_sums(price[seller.argmin()] if n else 0.0, sold) - spend
-    return score, traded, stock_after
+    return score, stock_after
 
 
 def _fold_sums(x, counts):

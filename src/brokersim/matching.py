@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import require_int
 from .streams import AgentStream, SELLER
 
 __all__ = ["fifo_match", "brute_force_max_matching", "max_matchable"]
@@ -25,12 +24,12 @@ def fifo_match(stream: AgentStream, capacity: int | None = None) -> tuple[tuple[
     """The (seller, buyer) index pairs of a single pass: sellers enter a FIFO
     queue while it holds fewer than ``capacity`` items; each buyer pops the
     front if the queue is nonempty."""
-    capacity = None if capacity is None else require_int("capacity", capacity, 1)
+    cap = stream.fold_cap(capacity=capacity)
     queue: deque[int] = deque()
     pairs = []
     for t, role in enumerate(stream.roles.tolist()):
         if role == SELLER:
-            if capacity is None or len(queue) < capacity:
+            if len(queue) < cap:
                 queue.append(t)
         elif queue:
             pairs.append((queue.popleft(), t))
@@ -48,7 +47,7 @@ def brute_force_max_matching(stream: AgentStream, capacity: int | None = None) -
     n = len(stream)
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force oracle is limited to length <= {_BRUTE_FORCE_LIMIT}, got {n}")
-    cap = n if capacity is None else require_int("capacity", capacity, 1)
+    cap = stream.fold_cap(capacity=capacity)
     roles = stream.roles.tolist()
     memo: dict[tuple[int, int], int] = {}
 

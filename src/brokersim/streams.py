@@ -59,6 +59,8 @@ class _Repeat:
         return self.child.length() * self.count
 
     def materialize(self) -> np.ndarray:
+        if not self.count:  # the child is never built, however long it is
+            return np.zeros(0, dtype=np.uint8)
         return np.tile(self.child.materialize(), self.count)
 
     def render(self) -> str:
@@ -69,7 +71,11 @@ class _Repeat:
 
 
 @dataclass(frozen=True)
-class _Seq:
+class StreamPattern:
+    """Parsed pattern tree: a sequence of atoms and repeated groups, each
+    group itself a ``StreamPattern``; ``expand`` materializes it into an
+    ``AgentStream``."""
+
     parts: tuple
 
     def length(self) -> int:
@@ -82,24 +88,6 @@ class _Seq:
 
     def render(self) -> str:
         return " ".join(p.render() for p in self.parts)
-
-
-@dataclass(frozen=True)
-class StreamPattern:
-    """Parsed pattern AST; ``expand`` materializes it into an ``AgentStream``."""
-
-    root: _Seq
-
-    def __post_init__(self):
-        total = self.length()
-        if total > MAX_EXPANSION:
-            raise SpecParseError(f"pattern expands to {total} roles, above the {MAX_EXPANSION} cap")
-
-    def length(self) -> int:
-        return self.root.length()
-
-    def render(self) -> str:
-        return self.root.render()
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -140,7 +128,7 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list, int]:
             if i >= len(text) or text[i] != "^":
                 raise SpecParseError(f"group must be followed by '^<count>' at position {i} in {text!r}")
             count, i = _parse_uint(text, _skip_ws(text, i + 1))
-            node = _Repeat(_Seq(tuple(inner)), count)
+            node = _Repeat(StreamPattern(tuple(inner)), count)
         else:
             raise SpecParseError(f"unexpected character {c!r} at position {i} in {text!r}")
         parts.append(node)
@@ -150,13 +138,17 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list, int]:
 
 def parse_pattern(text: str) -> StreamPattern:
     """Parse a stream pattern; rejects syntax errors (with position) and
-    expansions beyond ``MAX_EXPANSION`` roles."""
+    patterns whose whole stream exceeds ``MAX_EXPANSION`` roles (the cap
+    applies to the root: a group repeated 0 times may be longer)."""
     if not text or not text.strip():
         raise SpecParseError("empty stream pattern")
     parts, i = _parse_seq(text, 0, depth=0)
     if i != len(text):
         raise SpecParseError(f"trailing input at position {i} in {text!r}")
-    return StreamPattern(_Seq(tuple(parts)))
+    pattern = StreamPattern(tuple(parts))
+    if (total := pattern.length()) > MAX_EXPANSION:
+        raise SpecParseError(f"pattern expands to {total} roles, above the {MAX_EXPANSION} cap")
+    return pattern
 
 
 class AgentStream:
@@ -181,6 +173,13 @@ class AgentStream:
     def text(self) -> str:
         return "".join(_CHAR_FOR_ROLE[r] for r in self.roles)
 
+    def fold_cap(self, **limits: int | None) -> int:
+        """The effective stock cap: the tightest of n_S and the named
+        ``limits`` (None is no limit), each an integer >= 1 checked by
+        ``require_int`` under its own name.  Stock never exceeds n_S, so a
+        cap at or above n_S never binds; every scorer reads its cap here."""
+        return min([self.n_S, *(require_int(k, v, 1) for k, v in limits.items() if v is not None)])
+
     def seller_prefix_counts(self) -> np.ndarray:
         """Cumulative seller count, a fresh array; entry t is the count in roles[:t+1]."""
         return np.cumsum(self.roles == SELLER)
@@ -201,7 +200,7 @@ class AgentStream:
 
 
 def expand(pattern: StreamPattern) -> AgentStream:
-    return AgentStream(pattern.root.materialize())
+    return AgentStream(pattern.materialize())
 
 
 def is_alpha_balanced(stream: AgentStream, alpha: int) -> bool:

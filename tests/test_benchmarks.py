@@ -202,8 +202,8 @@ class TestAdaptiveOracle:
             adaptive_dp_oracle(stream("(SB)^600"), U, U)
         with pytest.raises(ValueError):
             adaptive_dp_oracle(stream("SB"), U, U, price_grid=4096)
-        with pytest.raises(ValueError):
-            adaptive_dp_oracle(stream("SB"), U, U, stock_cap=5)
+        # a cap above n_S (here 5 > len 2) folds to n_S: no refusal, the uncapped value
+        assert adaptive_dp_oracle(stream("SB"), U, U, stock_cap=5) == adaptive_dp_oracle(stream("SB"), U, U)
 
     def test_budget_refusal_builds_no_array(self):
         # (S^4096 B^4096) uncapped at grid 2048: 8192 x 4097 x 2048 units, about 6.9e10
@@ -238,8 +238,6 @@ class TestAdaptiveOracle:
         streams = [*enumerate_alpha_balanced(2, 3), *enumerate_alpha_balanced(1, 4)]
         streams += [AgentStream(rng.integers(0, 2, size=rng.integers(1, 31), dtype=np.uint8)) for _ in range(60)]
         for cap, s in itertools.product((None, 1, 2, 3), streams):
-            if cap is not None and cap > len(s):
-                continue
             expected = adaptive_dp_by_stock_loop(s, f_s, f_b, grid, s.n_S if cap is None else cap)
             assert adaptive_dp_oracle(s, f_s, f_b, price_grid=grid, stock_cap=cap) == expected, (s, grid, cap)
 

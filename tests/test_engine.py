@@ -19,7 +19,10 @@ from brokersim import (
     StockLimitedPolicy,
     DecayingSellerPolicy,
     Uniform,
+    adaptive_dp_oracle,
+    brute_force_max_matching,
     expected_outcome,
+    fifo_match,
     monte_carlo,
     random_alpha_balanced,
     build_policy,
@@ -171,7 +174,8 @@ class TestRunTrial:
 
 class TestCapAtOrAboveNS:
     """Stock never exceeds n_S, so a stock cap at or above n_S never binds:
-    the schedule folds it to n_S and every scorer matches the uncapped run."""
+    ``AgentStream.fold_cap`` folds it to n_S and every scorer (kernel, exact
+    chain, adaptive DP, matchings) matches the uncapped run."""
 
     @pytest.mark.parametrize("extra", (0, 1, 1000))
     @pytest.mark.parametrize(
@@ -196,6 +200,18 @@ class TestCapAtOrAboveNS:
         for objective in ("profit", "welfare"):
             capped = monte_carlo(s, policy, f_s, f_b, 64, 3, stock_cap=cap, objective=objective)
             assert capped == monte_carlo(s, policy, f_s, f_b, 64, 3, objective=objective)
+
+    @pytest.mark.parametrize("extra", (0, 1, 1000))
+    @pytest.mark.parametrize("text", ["(SB)^10", "S^6 B^6", "(S^2 B)^5 S^3", "S^5 B^10", "B S^3 B"])
+    def test_stream_scorers_match_uncapped(self, text, extra):
+        s = stream(text)
+        cap = s.n_S + extra
+        assert s.fold_cap(stock_cap=cap) == s.n_S
+        for f_s, f_b in ((U, U), (U, E)):
+            got = adaptive_dp_oracle(s, f_s, f_b, price_grid=256, stock_cap=cap)
+            assert got == adaptive_dp_oracle(s, f_s, f_b, price_grid=256)
+        assert fifo_match(s, cap) == fifo_match(s)
+        assert brute_force_max_matching(s, cap) == brute_force_max_matching(s)
 
 
 class TestPriceSchedule:

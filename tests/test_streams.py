@@ -1,3 +1,4 @@
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.stats import chisquare
 from brokersim import (
     AgentStream,
     SpecParseError,
+    StreamPattern,
     enumerate_alpha_balanced,
     expand,
     is_alpha_balanced,
@@ -54,6 +56,25 @@ class TestParsePattern:
 
     def test_at_cap_is_fine(self):
         assert parse_pattern("S^100000000").length() == 10**8
+
+    def test_cap_applies_to_the_root_only(self):
+        # the group alone would be 2 x 10^8 roles, but it repeats 0 times
+        assert AgentStream.from_pattern("(S^200000000)^0 SB").text == "SB"
+
+    def test_zero_count_group_is_never_built(self):
+        pattern = parse_pattern("(S^10000000 S^10000000 S^10000000 S^10000000)^0 SB")
+        tracemalloc.start()
+        try:
+            s = expand(pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.text == "SB"
+        assert peak < 1024 * 1024
+
+    def test_groups_are_patterns(self):
+        (group,) = parse_pattern("(S^2 B)^3").parts
+        assert isinstance(group.child, StreamPattern) and group.child.render() == "S^2 B"
 
 
 class TestRenderRoundTrip:
