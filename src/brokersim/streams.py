@@ -4,7 +4,8 @@ alpha-balance predicate and balanced-stream generators.
 Patterns follow the grammar ``pattern := term+`` with
 ``term := atom | atom '^' uint | '(' pattern ')' '^' uint`` and
 ``atom := 'S' | 'B'`` (whitespace ignored), e.g. ``"(S^2 B)^3"``.
-Expansion is capped at 10^8 roles; larger inputs are rejected at parse time.
+Expansion is capped at 10^8 roles and groups nest at most 100 levels deep;
+larger inputs are rejected at parse time.
 """
 
 from __future__ import annotations
@@ -34,60 +35,34 @@ _CHAR_FOR_ROLE = "SB"
 _ROLE_FOR_CHAR = {"S": SELLER, "B": BUYER}
 
 MAX_EXPANSION = 10**8
-
-
-@dataclass(frozen=True)
-class _Atom:
-    role: int
-
-    def length(self) -> int:
-        return 1
-
-    def materialize(self) -> np.ndarray:
-        return np.array([self.role], dtype=np.uint8)
-
-    def render(self) -> str:
-        return _CHAR_FOR_ROLE[self.role]
-
-
-@dataclass(frozen=True)
-class _Repeat:
-    child: object
-    count: int
-
-    def length(self) -> int:
-        return self.child.length() * self.count
-
-    def materialize(self) -> np.ndarray:
-        if not self.count:  # the child is never built, however long it is
-            return np.zeros(0, dtype=np.uint8)
-        return np.tile(self.child.materialize(), self.count)
-
-    def render(self) -> str:
-        inner = self.child.render()
-        if isinstance(self.child, _Atom):
-            return f"{inner}^{self.count}"
-        return f"({inner})^{self.count}"
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
 class StreamPattern:
-    """Parsed pattern tree: a sequence of atoms and repeated groups, each
-    group itself a ``StreamPattern``; ``expand`` materializes it into an
-    ``AgentStream``."""
+    """Parsed pattern tree: a sequence of ``(node, count)`` parts, each node a
+    role (SELLER or BUYER) or a nested ``StreamPattern`` repeated ``count``
+    times; ``expand`` materializes it into an ``AgentStream``."""
 
     parts: tuple
 
     def length(self) -> int:
-        return sum(p.length() for p in self.parts)
+        return sum(count * (node.length() if isinstance(node, StreamPattern) else 1) for node, count in self.parts)
 
     def materialize(self) -> np.ndarray:
-        if not self.parts:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate([p.materialize() for p in self.parts])
+        blocks = [
+            np.tile(node.materialize(), count) if isinstance(node, StreamPattern) else np.full(count, node, np.uint8)
+            for node, count in self.parts
+            if count  # a group repeated 0 times is never built, however long it is
+        ]
+        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint8)
 
     def render(self) -> str:
-        return " ".join(p.render() for p in self.parts)
+        return " ".join(
+            f"({node.render()})^{count}" if isinstance(node, StreamPattern)
+            else _CHAR_FOR_ROLE[node] + ("" if count == 1 else f"^{count}")
+            for node, count in self.parts
+        )
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -115,12 +90,13 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list, int]:
                 raise SpecParseError(f"unbalanced ')' at position {i} in {text!r}")
             break
         if c in _ROLE_FOR_CHAR:
-            node = _Atom(_ROLE_FOR_CHAR[c])
+            node, count = _ROLE_FOR_CHAR[c], 1
             i = _skip_ws(text, i + 1)
             if i < len(text) and text[i] == "^":
                 count, i = _parse_uint(text, _skip_ws(text, i + 1))
-                node = _Repeat(node, count)
         elif c == "(":
+            if depth == MAX_NESTING:
+                raise SpecParseError(f"groups nest deeper than {MAX_NESTING} levels at position {i} in {text!r}")
             inner, i = _parse_seq(text, i + 1, depth + 1)
             if i >= len(text) or text[i] != ")":
                 raise SpecParseError(f"missing ')' for group opened in {text!r}")
@@ -128,10 +104,10 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list, int]:
             if i >= len(text) or text[i] != "^":
                 raise SpecParseError(f"group must be followed by '^<count>' at position {i} in {text!r}")
             count, i = _parse_uint(text, _skip_ws(text, i + 1))
-            node = _Repeat(StreamPattern(tuple(inner)), count)
+            node = StreamPattern(tuple(inner))
         else:
             raise SpecParseError(f"unexpected character {c!r} at position {i} in {text!r}")
-        parts.append(node)
+        parts.append((node, count))
         i = _skip_ws(text, i)
     return parts, i
 

@@ -12,6 +12,8 @@ and ``prefix_dominates`` are reference checks on the library's outputs.
 ``by_role_rank`` builds the step-ordered row of uniforms that
 ``run_trial`` takes from draws indexed by role rank, the coupling device
 that hands the j-th seller (and j-th buyer) of two streams the same draw.
+``trial_rows`` builds the rows that Monte Carlo trials read, one whole
+lane block of the raw generator at a time.
 ``adaptive_dp_by_stock_loop`` runs the adaptive oracle's backward
 induction one stock level at a time (the library steps all levels at
 once); it keeps the library's floating-point order, so the two agree
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from brokersim import BUYER, SELLER
+from brokersim import BUYER, SELLER, RandomStream
 
 
 def order_stat_mean_by_survival(d, m):
@@ -205,6 +207,14 @@ def by_role_rank(stream, u_sellers, u_buyers):
     row[seller] = u_sellers
     row[~seller] = u_buyers
     return row
+
+
+def trial_rows(seed, trials, n):
+    """Row i holds trial i's n uniforms: column i % 128 of lane block
+    i // 128, read from the raw generator one whole block at a time."""
+    root = RandomStream(seed)
+    blocks = [root.substream(b).random((n, 128)).T for b in range(-(-trials // 128))]
+    return np.concatenate(blocks)[:trials]
 
 
 def adaptive_dp_by_stock_loop(stream, f_s, f_b, price_grid, cap):

@@ -89,6 +89,13 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_stream_is_usage_error(self, capsys):
+        argv = list(self.ARGS)
+        argv[2] = "(" * 1200 + "S" + ")^1" * 1200
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "nest" in err and "Traceback" not in err
+
     def test_bad_policy_is_usage_error(self, capsys):
         argv = list(self.ARGS)
         argv[4] = "haggle:3"

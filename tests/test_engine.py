@@ -36,6 +36,7 @@ from oracles import (
     resolve_trial_by_steps,
     resolve_trials_by_steps,
     tail_value_by_quadrature,
+    trial_rows,
     variance_sum_by_generator,
 )
 
@@ -351,10 +352,7 @@ class TestMonteCarlo:
         policy = policy_factory()
         s = stream("(S^2 B)^7 S B^4")
         trials = 2 * engine_mod._LANES + 2  # two full lane blocks and a ragged third
-        refs = [
-            resolve_trial_by_steps(s, policy, f_s, f_b, RandomStream(909).trial_uniforms(i, len(s)), cap)
-            for i in range(trials)
-        ]
+        refs = resolve_trials_by_steps(s, policy, f_s, f_b, trial_rows(909, trials, len(s)), cap)
         for objective in ("profit", "welfare"):
             vec = _mc_samples(s, policy, f_s, f_b, trials, 909, cap, objective)
             assert np.array_equal(vec, [getattr(ref, objective) for ref in refs])
@@ -451,10 +449,7 @@ class TestProfitFromCounts:
     @pytest.mark.parametrize("text,spec,cap", [case[:3] for case in CASES])
     def test_samples_equal_the_step_by_step_oracle(self, text, spec, cap):
         s, policy, trials = stream(text), build_policy(spec, U, U), 300
-        root = RandomStream(1)
-        # trial i reads column i % 128 of its block (see TestRandomStream)
-        rows = np.concatenate([root.substream(b).random((len(s), engine_mod._LANES)).T for b in range(3)])
-        refs = resolve_trials_by_steps(s, policy, U, U, rows[:trials], cap)
+        refs = resolve_trials_by_steps(s, policy, U, U, trial_rows(1, trials, len(s)), cap)
         for objective in ("profit", "welfare"):
             got = _mc_samples(s, policy, U, U, trials, 1, cap, objective)
             assert np.array_equal(got, [getattr(r, objective) for r in refs]), objective
@@ -510,13 +505,13 @@ class TestDeadBuyerSkip:
         monkeypatch.setattr(engine_mod, "_TRIAL_CHUNK", 5)
         # 300 trials: three chunks of one lane block each, the last ragged
         s, policy, trials = stream(text), policy_factory(), 300
-        root = RandomStream(2718)
-        ref = [resolve_trial_by_steps(s, policy, f_s, f_b, root.trial_uniforms(i, len(s)), cap) for i in range(trials)]
+        rows = trial_rows(2718, trials, len(s))
+        ref = resolve_trials_by_steps(s, policy, f_s, f_b, rows, cap)
         for objective in ("profit", "welfare"):
             got = _mc_samples(s, policy, f_s, f_b, trials, 2718, cap, objective)
             assert np.array_equal(got, [getattr(r, objective) for r in ref]), objective
         for i, r in enumerate(ref):
-            log = run_trial(s, policy, f_s, f_b, root.trial_uniforms(i, len(s)), stock_cap=cap)
+            log = run_trial(s, policy, f_s, f_b, rows[i], stock_cap=cap)
             assert log.stock_after[-1] == r.leftover, i
 
     def test_a_chunk_jumps_to_the_next_seller(self, monkeypatch):

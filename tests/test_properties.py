@@ -23,7 +23,7 @@ from brokersim import (
     run_trial,
 )
 from brokersim.engine import _mc_samples
-from oracles import resolve_trial_by_steps
+from oracles import resolve_trial_by_steps, resolve_trials_by_steps, trial_rows
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -74,11 +74,8 @@ def test_kernel_equals_step_by_step_reference(market, objective, trials, seed, s
     stream, policy, f_s, f_b, cap = market
     with mock.patch.object(engine_mod, "_STEP_SLAB", slab), mock.patch.object(engine_mod, "_TRIAL_CHUNK", chunk):
         got = _mc_samples(stream, policy, f_s, f_b, trials, seed, cap, objective)
-    root = RandomStream(seed)
-    want = [
-        getattr(resolve_trial_by_steps(stream, policy, f_s, f_b, root.trial_uniforms(i, len(stream)), cap), objective)
-        for i in range(trials)
-    ]
+    refs = resolve_trials_by_steps(stream, policy, f_s, f_b, trial_rows(seed, trials, len(stream)), cap)
+    want = [getattr(r, objective) for r in refs]
     assert np.array_equal(got, want)
 
 

@@ -14,6 +14,7 @@ from brokersim import (
     parse_pattern,
     random_alpha_balanced,
 )
+from brokersim.streams import MAX_NESTING
 from oracles import prefix_dominates
 
 
@@ -73,12 +74,24 @@ class TestParsePattern:
         assert peak < 1024 * 1024
 
     def test_groups_are_patterns(self):
-        (group,) = parse_pattern("(S^2 B)^3").parts
-        assert isinstance(group.child, StreamPattern) and group.child.render() == "S^2 B"
+        ((group, count),) = parse_pattern("(S^2 B)^3").parts
+        assert isinstance(group, StreamPattern) and group.render() == "S^2 B"
+        assert count == 3
+
+    def test_nesting_at_the_limit_is_fine(self):
+        text = "(" * MAX_NESTING + "S" + ")^1" * MAX_NESTING
+        pattern = parse_pattern(text)
+        assert expand(pattern).text == "S"
+        assert pattern.render() == text
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 1200])
+    def test_nesting_past_the_limit_is_a_parse_error(self, levels):
+        with pytest.raises(SpecParseError, match=f"nest deeper than {MAX_NESTING} levels at position {MAX_NESTING}"):
+            parse_pattern("(" * levels + "S" + ")^1" * levels)
 
 
 class TestRenderRoundTrip:
-    @pytest.mark.parametrize("text", ["S", "S B^3", "(S^2 B)^2", "(S B^2)^3 S^4", "B^0 S"])
+    @pytest.mark.parametrize("text", ["S", "S B^3", "(S^2 B)^2", "(S B^2)^3 S^4", "B^0 S", "S^1 (S^1 B)^1"])
     def test_parse_render_fixpoint(self, text):
         p = parse_pattern(text)
         rendered = p.render()
