@@ -45,7 +45,6 @@ from .policies import (
 )
 from .fractional import (
     FractionalSolution,
-    certify_bounds,
     solve_fractional,
     virtual_cost,
     virtual_value,
@@ -68,6 +67,6 @@ from .benchmarks import (
     welfare_upper_bound,
 )
 from .experiments import ExperimentConfig, RatioRow, emit_csv, loglog_slope, run_experiment
-from .verify import run_suite
+from .verify import certify_bounds, run_suite
 
 __version__ = "0.1.0"

@@ -30,10 +30,10 @@ from .distributions import parse_distribution
 from .engine import _OBJECTIVES, RandomStream, monte_carlo, run_trial
 from .errors import SpecParseError
 from .experiments import DEFAULT_SWEEPS, SCENARIOS, ExperimentConfig, emit_csv, run_experiment
-from .fractional import certify_bounds, solve_fractional
+from .fractional import solve_fractional
 from .policies import build_policy
 from .streams import AgentStream, SELLER
-from .verify import SUITES, run_suite
+from .verify import SUITES, certify_bounds, run_suite
 
 __all__ = ["main", "parse_config"]
 
@@ -51,7 +51,8 @@ def parse_config(path: str) -> dict[str, str]:
     Values stay strings: ``main`` parses each entry as its ``--key`` flag.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as Windows editors write one
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

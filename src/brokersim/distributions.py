@@ -16,10 +16,15 @@ stream and identical across array/scalar code paths.
 ``check_regularity`` verifies, on a quantile-spaced grid over the support
 interior, the two regularity conditions used by the price mechanisms:
 
-* monotone hazard rate (MHR): ``log(1 - F)`` concave, equivalently the
+* monotone hazard rate (MHR): ``log(1 - F)`` concave, which implies the
   virtual value ``x - (1 - F(x))/f(x)`` nondecreasing;
-* log-concave cdf: ``log F`` concave, equivalently the virtual cost
+* log-concave cdf: ``log F`` concave, which implies the virtual cost
   ``x + F(x)/f(x)`` nondecreasing.
+
+Neither converse holds (on Pareto the hazard falls while the virtual value
+rises), so ``check_regularity`` requires both.  ``require_regular``, the
+mechanisms' guard, raises ``RegularityError`` unless F_S has a log-concave
+cdf and F_B is MHR.
 
 Grid checks are numeric by design; they evaluate strictly interior points
 and use a second-difference tolerance of 1e-9 on consecutive secant slopes.
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import parse_spec, require_int
+from .errors import RegularityError, parse_spec, require_int
 
 __all__ = [
     "Distribution",
@@ -328,6 +333,21 @@ def check_regularity(d: Distribution) -> RegularityReport:
         failures.append("virtual cost not increasing")
 
     return RegularityReport(mhr=surv_concave, log_concave_cdf=cdf_concave, failures=tuple(failures))
+
+
+def require_regular(f_s: Distribution, f_b: Distribution, context: str) -> None:
+    """Raise RegularityError naming the failed check unless F_S is
+    log-concave-cdf and F_B is MHR."""
+    rep_s = check_regularity(f_s)
+    if not rep_s.log_concave_cdf:
+        raise RegularityError(
+            f"{context}: seller distribution {f_s} fails log-concavity ({', '.join(rep_s.failures)})"
+        )
+    rep_b = check_regularity(f_b)
+    if not rep_b.mhr:
+        raise RegularityError(
+            f"{context}: buyer distribution {f_b} fails the MHR check ({', '.join(rep_b.failures)})"
+        )
 
 
 _KINDS = {

@@ -13,6 +13,10 @@ solved by a coarse quantile grid followed by golden-section refinement.
 At an interior optimum the Lagrange condition equates the buyer virtual
 value and the seller virtual cost; the gap is reported as
 ``stationarity_residual``.
+
+This module holds only the program (solver, virtual value and cost); its
+regularity guard is ``distributions.require_regular`` and its certificates
+are ``verify.certify_bounds``.
 """
 
 from __future__ import annotations
@@ -22,16 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, check_regularity
-from .errors import RegularityError, require_int
+from .distributions import Distribution, require_regular
+from .errors import require_int
 
 __all__ = [
     "FractionalSolution",
-    "CheckResult",
     "virtual_value",
     "virtual_cost",
     "solve_fractional",
-    "certify_bounds",
 ]
 
 _COARSE_GRID = 1024
@@ -69,21 +71,6 @@ def virtual_cost(f_s: Distribution, x: float) -> float:
     if density <= 0.0:
         raise ValueError(f"zero density at x={x}; virtual cost undefined")
     return x + float(f_s.cdf(x)) / density
-
-
-def require_regular(f_s: Distribution, f_b: Distribution, context: str) -> None:
-    """Raise RegularityError naming the failed check unless F_S is
-    log-concave-cdf and F_B is MHR."""
-    rep_s = check_regularity(f_s)
-    if not rep_s.log_concave_cdf:
-        raise RegularityError(
-            f"{context}: seller distribution {f_s} fails log-concavity ({', '.join(rep_s.failures)})"
-        )
-    rep_b = check_regularity(f_b)
-    if not rep_b.mhr:
-        raise RegularityError(
-            f"{context}: buyer distribution {f_b} fails the MHR check ({', '.join(rep_b.failures)})"
-        )
 
 
 def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -153,38 +140,4 @@ def solve_fractional(f_s: Distribution, f_b: Distribution, alpha: int) -> Fracti
         per_buyer_value=h_star,
         constraint_residual=constraint_residual,
         stationarity_residual=stationarity,
-    )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    slack: float
-
-
-def certify_bounds(
-    sol: FractionalSolution,
-    f_s: Distribution,
-    f_b: Distribution,
-    m: int,
-) -> tuple[CheckResult, ...]:
-    """Check the solution against its analytic envelope.
-
-    With r = max(2, mu_S/mu_B): (i) total value m*per_buyer_value is at least
-    m*mu_B/(2*e*r); (ii) the buyer price is at most 4*ln(4*e*r)*mu_B.  Slacks
-    are reported; a failure flags an infeasibility or regularity breach
-    upstream.
-    """
-    m = require_int("m", m, 1)
-    mu_s = f_s.mean
-    mu_b = f_b.mean
-    r = max(2.0, mu_s / mu_b)
-    value_floor = m * mu_b / (2.0 * math.e * r)
-    value_slack = m * sol.per_buyer_value - value_floor
-    price_ceiling = 4.0 * math.log(4.0 * math.e * r) * mu_b
-    price_slack = price_ceiling - sol.p
-    return (
-        CheckResult("value-lower-bound", value_slack >= -1e-12, value_slack),
-        CheckResult("buyer-price-upper-bound", price_slack >= -1e-12, price_slack),
     )

@@ -30,9 +30,9 @@ import math
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, require_regular
 from .errors import parse_spec, require_int
-from .fractional import FractionalSolution, require_regular, solve_fractional
+from .fractional import FractionalSolution, solve_fractional
 
 __all__ = [
     "PricePolicy",

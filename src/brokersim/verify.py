@@ -1,15 +1,20 @@
-"""Named invariant suites behind ``brokersim verify``.
+"""Named invariant suites behind ``brokersim verify``, and the fractional
+program's certificates.
 
-Each suite runs a family of checks and reports one line per check with the
-observed slack (how far the inequality is from binding, nonnegative when it
-holds).  Every check is exact, not sampled, so suites are deterministic.
+Every reported check is one ``CheckLine``: a suite, a name, the observed slack
+(how far the inequality is from binding, nonnegative when it holds) and the
+verdict ``slack >= -tol``, decided once, in ``_line``.  Each suite yields one
+line per check; ``certify_bounds`` returns the lines that ``solve-fractional``
+prints and the ``bounds`` suite relabels.  Every check is exact, not sampled,
+so suites are deterministic.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -24,12 +29,13 @@ from .distributions import (
     top_k_sum_bound,
 )
 from .engine import expected_outcome
-from .fractional import certify_bounds, solve_fractional
+from .errors import require_int
+from .fractional import FractionalSolution, solve_fractional
 from .matching import brute_force_max_matching, fifo_match
 from .policies import BalancedPolicy, MedianPolicy, StockLimitedPolicy
 from .streams import AgentStream, enumerate_alpha_balanced
 
-__all__ = ["CheckLine", "SUITES", "run_suite"]
+__all__ = ["CheckLine", "SUITES", "certify_bounds", "run_suite"]
 
 _MHR_SET: tuple[Distribution, ...] = (
     Exponential(0.5),
@@ -40,7 +46,7 @@ _MHR_SET: tuple[Distribution, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckLine:
     suite: str
     name: str
@@ -56,8 +62,34 @@ def _line(suite, name, slack, tol=0.0):
     return CheckLine(suite, name, bool(slack >= -tol), float(slack))
 
 
-def _suite_mhr() -> list[CheckLine]:
-    checks = []
+def certify_bounds(
+    sol: FractionalSolution,
+    f_s: Distribution,
+    f_b: Distribution,
+    m: int,
+) -> tuple[CheckLine, ...]:
+    """Check the solution against its analytic envelope.
+
+    With r = max(2, mu_S/mu_B): (i) total value m*per_buyer_value is at least
+    m*mu_B/(2*e*r); (ii) the buyer price is at most 4*ln(4*e*r)*mu_B.  Slacks
+    are reported; a failure flags an infeasibility or regularity breach
+    upstream.
+    """
+    m = require_int("m", m, 1)
+    mu_s = f_s.mean
+    mu_b = f_b.mean
+    r = max(2.0, mu_s / mu_b)
+    value_floor = m * mu_b / (2.0 * math.e * r)
+    value_slack = m * sol.per_buyer_value - value_floor
+    price_ceiling = 4.0 * math.log(4.0 * math.e * r) * mu_b
+    price_slack = price_ceiling - sol.p
+    return (
+        _line("certificate", "value-lower-bound", value_slack, 1e-12),
+        _line("certificate", "buyer-price-upper-bound", price_slack, 1e-12),
+    )
+
+
+def _suite_mhr() -> Iterator[CheckLine]:
     grid = _REGULARITY_U
     for d in _MHR_SET:
         mu = d.mean
@@ -66,30 +98,28 @@ def _suite_mhr() -> list[CheckLine]:
         below = x <= mu
 
         slack = float(np.min(surv[below] - 1.0 / math.e)) if below.any() else math.inf
-        checks.append(_line("mhr", f"{d} survival>=1/e below mean", slack, 1e-9))
+        yield _line("mhr", f"{d} survival>=1/e below mean", slack, 1e-9)
 
         above = x > 2.0 * mu
         slack = float(np.min(1.0 / math.e - surv[above])) if above.any() else math.inf
-        checks.append(_line("mhr", f"{d} survival<1/e above twice mean", slack))
+        yield _line("mhr", f"{d} survival<1/e above twice mean", slack)
 
         slack = min(
             harmonic(m) * mu - d.max_order_stat_mean(m) for m in range(1, 65)
         )
-        checks.append(_line("mhr", f"{d} order-stat mean under H_m*mu", slack, 1e-9))
+        yield _line("mhr", f"{d} order-stat mean under H_m*mu", slack, 1e-9)
 
         stats = d.stats()
-        checks.append(_line("mhr", f"{d} std<=mean", stats.mean - stats.std, 1e-12))
+        yield _line("mhr", f"{d} std<=mean", stats.mean - stats.std, 1e-12)
 
         slack = float(np.min(math.e * mu * grid[below] - x[below]))
-        checks.append(_line("mhr", f"{d} tail bound x<=e*mu*F(x)", slack, 1e-9))
+        yield _line("mhr", f"{d} tail bound x<=e*mu*F(x)", slack, 1e-9)
 
         report = check_regularity(d)
-        checks.append(_line("mhr", f"{d} regularity flags", 0.0 if (report.mhr and report.log_concave_cdf) else -1.0))
-    return checks
+        yield _line("mhr", f"{d} regularity flags", 0.0 if (report.mhr and report.log_concave_cdf) else -1.0)
 
 
-def _suite_matching() -> list[CheckLine]:
-    checks = []
+def _suite_matching() -> Iterator[CheckLine]:
     max_len = 10
     for capacity in (1, 2, 3, None):
         mismatches = 0
@@ -100,12 +130,10 @@ def _suite_matching() -> list[CheckLine]:
                     mismatches += 1
         label = "unbounded" if capacity is None else f"K={capacity}"
         slack = 0.0 if mismatches == 0 else -float(mismatches)
-        checks.append(_line("matching", f"fifo=oracle up to n={max_len}, {label}", slack))
-    return checks
+        yield _line("matching", f"fifo=oracle up to n={max_len}, {label}", slack)
 
 
-def _suite_adaptive() -> list[CheckLine]:
-    checks = []
+def _suite_adaptive() -> Iterator[CheckLine]:
     f_s = f_b = Uniform(0.0, 1.0)
     grid = 1024
     for alpha, max_m in ((1, 4), (2, 3)):
@@ -115,49 +143,44 @@ def _suite_adaptive() -> list[CheckLine]:
             for stream in enumerate_alpha_balanced(alpha, m):
                 dp = benchmarks.adaptive_dp_oracle(stream, f_s, f_b, price_grid=grid)
                 worst = min(worst, m * per_buyer + len(stream) / grid - dp)
-        checks.append(_line("adaptive", f"dp<=fractional+slack, alpha={alpha}", worst))
-    return checks
+        yield _line("adaptive", f"dp<=fractional+slack, alpha={alpha}", worst)
 
 
-def _suite_azuma() -> list[CheckLine]:
-    checks = []
+def _suite_azuma() -> Iterator[CheckLine]:
     f_s = f_b = Uniform(0.0, 1.0)
     for alpha in (1, 2):
         policy = BalancedPolicy(alpha, f_s, f_b)
         for m in (10, 100):
             stream = AgentStream.from_pattern(f"(S^{alpha} B)^{m}")
             slack = benchmarks.azuma_bound(m, alpha) - expected_outcome(stream, policy, f_s, f_b)[2]
-            checks.append(_line("azuma", f"E[Z_m]<=bound m={m} alpha={alpha}", slack))
-    return checks
+            yield _line("azuma", f"E[Z_m]<=bound m={m} alpha={alpha}", slack)
 
 
-def _suite_bounds() -> list[CheckLine]:
-    checks = []
+def _suite_bounds() -> Iterator[CheckLine]:
     f_s = f_b = Uniform(0.0, 1.0)
 
     median = MedianPolicy(f_s, f_b)
     for text in ("SB^8", "(SB)^20", "S^10 B^10"):
         stream = AgentStream.from_pattern(text)
         slack = benchmarks.welfare_upper_bound(stream, f_s, f_b) - expected_outcome(stream, median, f_s, f_b)[1]
-        checks.append(_line("bounds", f"median welfare under bound on {text}", slack))
+        yield _line("bounds", f"median welfare under bound on {text}", slack)
 
     stream = AgentStream.from_pattern("(SB)^40")
     for capacity in (1, 3):
         profit = expected_outcome(stream, StockLimitedPolicy(capacity, f_s, f_b), f_s, f_b)[0]
         slack = benchmarks.profit_upper_bound_stocked(stream, capacity, f_b) - profit
-        checks.append(_line("bounds", f"stocked profit under bound K={capacity}", slack))
+        yield _line("bounds", f"stocked profit under bound K={capacity}", slack)
 
     for alpha in (1, 2):
         sol = solve_fractional(f_s, f_b, alpha)
         for check in certify_bounds(sol, f_s, f_b, m=100):
-            checks.append(CheckLine("bounds", f"certificate {check.name} alpha={alpha}", check.passed, check.slack))
+            yield dataclasses.replace(check, suite="bounds", name=f"certificate {check.name} alpha={alpha}")
 
     stats = Uniform(0.0, 1.0).stats()
     for m, k in ((10, 3), (100, 10), (1000, 50)):
         # the k largest of m U(0,1) draws: E[U_(j)] = j / (m + 1), summed over j > m - k
         slack = top_k_sum_bound(stats.mean, stats.std, m, k) - k * (2 * m - k + 1) / (2 * (m + 1))
-        checks.append(_line("bounds", f"top-{k}-of-{m} sum under bound", slack))
-    return checks
+        yield _line("bounds", f"top-{k}-of-{m} sum under bound", slack)
 
 
 _RUNNERS = {
@@ -174,4 +197,4 @@ def run_suite(name: str) -> list[CheckLine]:
     """Run one invariant suite and return its check lines."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _RUNNERS[name]()
+    return list(_RUNNERS[name]())

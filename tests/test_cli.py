@@ -15,7 +15,6 @@ from brokersim import (
 )
 from brokersim import verify
 from brokersim.cli import _build_parser, main, parse_config
-from brokersim.fractional import CheckResult
 from oracles import resolve_trial_by_steps
 
 
@@ -218,7 +217,7 @@ class TestVerify:
 
     def test_certificate_lines_keep_the_certificates_verdict(self, monkeypatch):
         # a slack inside certify_bounds' -1e-12 tolerance passes there, so it passes here too
-        monkeypatch.setattr(verify, "certify_bounds", lambda *a, **k: (CheckResult("value-lower-bound", True, -5e-13),))
+        monkeypatch.setattr(verify, "certify_bounds", lambda *a, **k: (verify.CheckLine("certificate", "value-lower-bound", True, -5e-13),))
         lines = [c for c in verify.run_suite("bounds") if c.name.startswith("certificate")]
         assert len(lines) == 2
         assert all(c.passed and c.render().endswith("PASS") for c in lines)
@@ -268,6 +267,16 @@ class TestConfigAndEnv:
         by_flags = run(TestSimulate.ARGS, capsys)
         by_conf = run(["simulate", "--trials", "300", "--seed", "6", "--config", str(conf)], capsys)
         assert by_conf == by_flags and by_conf[0] == 0
+
+    def test_config_with_a_byte_order_mark_supplies_required_options(self, capsys, tmp_path):
+        text = "stream = (SB)^10\npolicy = median\nseller_dist = uniform:0,1\nbuyer_dist = uniform:0,1\n"
+        plain, bom = tmp_path / "plain.conf", tmp_path / "bom.conf"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        argv = ["simulate", "--trials", "10"]
+        by_bom = run(argv + ["--config", str(bom)], capsys)
+        assert by_bom == run(argv + ["--config", str(plain)], capsys) and by_bom[0] == 0
 
     def test_config_supplies_required_alpha(self, capsys, tmp_path):
         conf = tmp_path / "frac.conf"

@@ -178,6 +178,12 @@ class TestRegularity:
         assert not rep.mhr
         assert "log-survival not concave" in rep.failures
 
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.9])
+    def test_pareto_virtual_value_rises_where_mhr_fails(self, eps):
+        # the hazard a/x falls while the virtual value x(1 - 1/a) rises: MHR implies
+        # a nondecreasing virtual value, not the converse
+        assert check_regularity(Pareto(eps)).failures == ("log-survival not concave",)
+
 
 class TestMhrPropertySuite:
     """Grid checks of the four MHR consequences plus the log-concave tail bound."""

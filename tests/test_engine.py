@@ -282,6 +282,16 @@ class TestScoring:
         for objective in ("profit", "welfare"):
             assert np.all(_mc_samples(stream("S^0"), FixedPricePolicy(0.5, 0.5), U, U, 2, 1, None, objective) == 0.0)
 
+    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("text", ["B^5", "B^200"])
+    @pytest.mark.parametrize("spec", ["median", "fixed:0.3,0.7", "quantile:3,2", "decay:0.05", "stock:2", "balanced:1"])
+    def test_seller_less_streams_score_zero(self, spec, text, cap):
+        # no seller, no stock: every buyer leaves unserved and nothing is spent
+        policy = build_policy(spec, U, U)
+        for objective in ("profit", "welfare"):
+            assert np.all(_mc_samples(stream(text), policy, U, U, 300, 1, cap, objective) == 0.0)
+        assert expected_outcome(stream(text), policy, U, U, cap) == (0.0, 0.0, 0.0)
+
     def test_profit_arithmetic(self):
         samples = _mc_samples(stream("SB"), FORCED, LOW, HIGH, 300, 1, None, "profit")
         assert samples == pytest.approx(np.full(300, 0.5))
