@@ -79,12 +79,14 @@ class Distribution:
         raise NotImplementedError
 
     def quantile(self, u):
-        """Generalized inverse cdf; defined for ``u`` in ``[0, 1)``."""
+        """Generalized inverse cdf; defined for ``u`` in ``[0, 1)``.  An array
+        result is always a new array."""
         raise NotImplementedError
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """``quantile`` of an array already known to lie in ``[0, 1)``,
-        without the domain check."""
+        without the domain check.  The result may share memory with ``u``
+        (an identity step is skipped), so it must not be written into."""
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
@@ -105,12 +107,13 @@ class Distribution:
     def mean(self) -> float:
         return self.stats().mean
 
-    def _check_u(self, u):
+    def _quantile(self, u):
         arr = np.asarray(u, dtype=float)
         # written as "not inside" so that NaN, which fails every comparison, is rejected
         if not np.all((arr >= 0.0) & (arr < 1.0)):
             raise ValueError(f"quantile argument must lie in [0, 1), got {u!r}")
-        return arr
+        out = self.inverse_cdf(arr)
+        return _scalar_or_array(out.copy() if out is arr else out, arr.ndim == 0)
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,13 @@ class Uniform(Distribution):
         return _scalar_or_array(out, arr.ndim == 0)
 
     def quantile(self, u):
-        arr = self._check_u(u)
-        return _scalar_or_array(self.inverse_cdf(arr), arr.ndim == 0)
+        return self._quantile(u)
 
     def inverse_cdf(self, u):
-        return self.lo + u * (self.hi - self.lo)
+        # u * 1.0 is u, and 0.0 + x is x unless x is -0.0, which no draw is: no bit changes
+        width = self.hi - self.lo
+        x = u if width == 1.0 else u * width
+        return x if self.lo == 0.0 else self.lo + x
 
     def support(self):
         return (self.lo, self.hi)
@@ -181,11 +186,11 @@ class Exponential(Distribution):
         return _scalar_or_array(out, arr.ndim == 0)
 
     def quantile(self, u):
-        arr = self._check_u(u)
-        return _scalar_or_array(self.inverse_cdf(arr), arr.ndim == 0)
+        return self._quantile(u)
 
     def inverse_cdf(self, u):
-        return -np.log1p(-u) / self.rate
+        # the same bits as -log1p(-u) / rate, one pass fewer: IEEE division is sign-symmetric
+        return np.log1p(-u) / -self.rate
 
     def support(self):
         return (0.0, math.inf)
@@ -237,8 +242,7 @@ class Pareto(Distribution):
         return _scalar_or_array(out, arr.ndim == 0)
 
     def quantile(self, u):
-        arr = self._check_u(u)
-        return _scalar_or_array(self.inverse_cdf(arr), arr.ndim == 0)
+        return self._quantile(u)
 
     def inverse_cdf(self, u):
         return np.power(1.0 - u, -(1.0 - self.eps))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import brokersim
+import brokersim.distributions as distributions
 from brokersim import (
     Exponential,
     Pareto,
@@ -83,6 +84,40 @@ class TestQuantile:
         assert np.max(np.abs(d.cdf(x) - u)) < 1e-10
         x0 = d.quantile(np.linspace(0.05, 0.95, 19))
         assert np.max(np.abs(d.quantile(d.cdf(x0)) - x0)) < 1e-10
+
+
+class TestInverseCdfBits:
+    """The affine quantiles skip their identity steps (``* 1.0``, ``0.0 +``)
+    and the exponential negates its divisor, not its logarithm; every value
+    keeps the bits of the literal formula."""
+
+    @staticmethod
+    def uniforms():
+        edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+        return np.concatenate([edges, np.random.default_rng(26).random(10**5)])
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-0.0, 1.0), (0.0, 2.0), (1.0, 2.0), (0.5, 3.0)])
+    def test_uniform_equals_the_affine_formula(self, lo, hi):
+        u = self.uniforms()
+        got = Uniform(lo, hi).inverse_cdf(u)
+        assert np.array_equal(got.view(np.int64), (lo + u * (hi - lo)).view(np.int64))
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 0.3, 7.1])
+    def test_exponential_equals_the_negated_log(self, rate):
+        u = self.uniforms()
+        got = Exponential(rate).inverse_cdf(u)
+        assert np.array_equal(got.view(np.int64), (-np.log1p(-u) / rate).view(np.int64))
+
+    @pytest.mark.parametrize("d", [Uniform(0, 1), Exponential(1.0), Pareto(0.5)], ids=["uniform", "exponential", "pareto"])
+    def test_quantile_returns_a_new_array(self, d):
+        a = np.linspace(0.0, 0.9, 10)
+        kept, grid = a.copy(), distributions._REGULARITY_U.copy()
+        x = d.quantile(a)
+        assert not np.shares_memory(x, a)
+        x[:] = -1.0
+        assert np.array_equal(a, kept)
+        d.quantile(distributions._REGULARITY_U)[:] = -1.0
+        assert np.array_equal(distributions._REGULARITY_U, grid)
 
 
 class TestStats:

@@ -24,6 +24,7 @@ from brokersim import (
     expected_outcome,
     fifo_match,
     monte_carlo,
+    parse_distribution,
     random_alpha_balanced,
     build_policy,
     run_trial,
@@ -469,6 +470,23 @@ class TestProfitFromCounts:
         s, policy = stream(text), build_policy(spec, U, U)
         got = tuple(monte_carlo(s, policy, U, U, 300, 1, cap, objective).mean for objective in ("profit", "welfare"))
         assert got == means
+
+    # (seller prior, buyer prior) and the median welfare mean on (S^2 B)^1500 at
+    # seed 1 and 300 trials, recorded from the kernel that computed every value
+    # as lo + u * (hi - lo) and -log1p(-u) / rate.  The step oracle calls
+    # quantile, so it cannot pin the kernel's values against their past.
+    PRIOR_CASES = [
+        ("uniform:1,3", "exp:2", 4384.112391558766),
+        ("uniform:0,2", "uniform:0,1", 2811.3456030571992),
+        ("exp:1", "exp:1", 3803.741395599278),
+        ("pareto-eps:0.5", "pareto-eps:0.5", 6344.73979818119),
+    ]
+
+    @pytest.mark.parametrize("seller,buyer,mean", PRIOR_CASES)
+    def test_welfare_means_on_other_priors_are_pinned(self, seller, buyer, mean):
+        f_s, f_b = parse_distribution(seller), parse_distribution(buyer)
+        s, policy = stream("(S^2 B)^1500"), build_policy("median", f_s, f_b)
+        assert monte_carlo(s, policy, f_s, f_b, 300, 1, None, "welfare").mean == mean
 
     def test_int32_counters_cannot_overflow(self):
         # stock and sold never exceed n_S, and a parsed stream holds at most MAX_EXPANSION roles
