@@ -66,7 +66,7 @@ from .benchmarks import (
     uniform_offline_policy,
     welfare_upper_bound,
 )
-from .experiments import ExperimentConfig, RatioRow, emit_csv, loglog_slope, run_experiment
+from .experiments import ExperimentConfig, RatioRow, emit_csv, run_experiment
 from .verify import certify_bounds, run_suite
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .policies import (
 )
 from .streams import AgentStream
 
-__all__ = ["SCENARIOS", "DEFAULT_SWEEPS", "ExperimentConfig", "RatioRow", "run_experiment", "emit_csv", "loglog_slope"]
+__all__ = ["SCENARIOS", "DEFAULT_SWEEPS", "ExperimentConfig", "RatioRow", "run_experiment", "emit_csv"]
 
 #: Each scenario: the sweep the CLI runs when no n_values are given, and the
 #: config fields it reads besides scenario, n_values, trials and seed.
@@ -172,10 +172,3 @@ def emit_csv(rows: list[RatioRow], path) -> None:
         lines.append(",".join([str(n)] + [f"{v:.17e}" for v in values]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def loglog_slope(ns, values) -> float:
-    """Least-squares slope of log(values) against log(ns)."""
-    xs = np.log(np.asarray(ns, dtype=float))
-    ys = np.log(np.asarray(values, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])

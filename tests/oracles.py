@@ -17,7 +17,8 @@ lane block of the raw generator at a time.
 ``adaptive_dp_by_stock_loop`` runs the adaptive oracle's backward
 induction one stock level at a time (the library steps all levels at
 once); it keeps the library's floating-point order, so the two agree
-exactly.
+exactly.  ``loglog_slope`` fits the scaling exponent of a sweep's ratios,
+which the acceptance criteria for the sqrt(n) and Pareto laws bound.
 """
 
 import math
@@ -99,6 +100,13 @@ def balanced_online_profit_expectation(m, p, q, f_s_cdf_q, f_b_sf_p):
 
 def harmonic_direct(n):
     return math.fsum(1.0 / i for i in range(1, n + 1))
+
+
+def loglog_slope(ns, values) -> float:
+    """Least-squares slope of log(values) against log(ns)."""
+    xs = np.log(np.asarray(ns, dtype=float))
+    ys = np.log(np.asarray(values, dtype=float))
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def prefix_dominates(s1, s2):

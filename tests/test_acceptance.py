@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+Criteria 2-5 are the ``verify`` suites of the same invariants, run as
+``brokersim verify`` runs them, so each invariant is checked in one place.
 The sweep-style criteria run at full scale inside module-scoped fixtures so
 the determinism criterion can replay subsets of them bit for bit without
 doubling the total runtime.
 """
 
-import itertools
 import math
 import time
 
@@ -21,23 +22,17 @@ from brokersim import (
     FixedPricePolicy,
     MedianPolicy,
     Uniform,
-    adaptive_dp_oracle,
-    azuma_bound,
-    brute_force_max_matching,
-    check_regularity,
     emit_csv,
-    enumerate_alpha_balanced,
     expected_outcome,
-    fifo_match,
     harmonic,
-    loglog_slope,
     monte_carlo,
     random_alpha_balanced,
     run_experiment,
+    run_suite,
     solve_fractional,
     uniform_offline_policy,
 )
-from oracles import fractional_grid_search
+from oracles import fractional_grid_search, loglog_slope
 
 U01 = Uniform(0.0, 1.0)
 EXP1 = Exponential(1.0)
@@ -121,81 +116,30 @@ def test_criterion_01_fractional_solver_exactness(capsys):
     )
 
 
-def test_criterion_02_fifo_maximality_exhaustive(capsys):
+def report_suite(capsys, num, name, suite, time_limit=math.inf):
+    """The criterion is ``brokersim verify <suite>``: at least one check, no FAIL line."""
     start = time.perf_counter()
-    mismatches = 0
-    checked = 0
-    for length in range(1, 13):
-        for bits in itertools.product((0, 1), repeat=length):
-            stream = AgentStream(np.array(bits, dtype=np.uint8))
-            for cap in (1, 2, 3, None):
-                checked += 1
-                if len(fifo_match(stream, cap)) != brute_force_max_matching(stream, cap):
-                    mismatches += 1
+    lines = run_suite(suite)
     elapsed = time.perf_counter() - start
-    report(
-        capsys, 2, "FIFO matching maximality", mismatches == 0 and elapsed < 300.0,
-        f"{checked} stream/capacity pairs, {mismatches} mismatches, {elapsed:.1f}s",
-    )
+    failed = [c.render() for c in lines if not c.passed]
+    detail = f"verify {suite}: {len(lines)} checks, {len(failed)} failed, {elapsed:.1f}s"
+    report(capsys, num, name, bool(lines) and not failed and elapsed < time_limit, "; ".join([detail, *failed]))
+
+
+def test_criterion_02_fifo_maximality_exhaustive(capsys):
+    report_suite(capsys, 2, "FIFO matching maximality", "matching", time_limit=300.0)
 
 
 def test_criterion_03_mhr_and_log_concave_suite(capsys):
-    family = [Exponential(0.5), Exponential(1.0), Exponential(2.0), Uniform(0, 1), Uniform(0, 2)]
-    grid = (np.arange(1024) + 1.0) / 1025.0
-    ok = True
-    details = []
-    for d in family:
-        mu = d.mean
-        x = np.asarray(d.quantile(grid))
-        below, above = x <= mu, x > 2 * mu
-        ok &= bool(np.all(1.0 - grid[below] >= 1 / math.e - 1e-12))
-        ok &= bool(np.all(1.0 - grid[above] < 1 / math.e))
-        ok &= all(d.max_order_stat_mean(m) <= harmonic(m) * mu + 1e-9 for m in range(1, 65))
-        stats = d.stats()
-        ok &= stats.std <= stats.mean + 1e-12
-        ok &= bool(np.all(x[below] <= math.e * mu * grid[below] + 1e-9))
-        rep = check_regularity(d)
-        ok &= rep.mhr and rep.log_concave_cdf
-    worst = max(abs(EXP1.max_order_stat_mean(m) - harmonic(m)) for m in range(1, 65))
-    ok &= worst < 1e-6
-    details.append(f"max |E[Y^(m)] - H_m| = {worst:.2e}")
-    report(capsys, 3, "MHR / log-concave property suite", ok, "; ".join(details))
+    report_suite(capsys, 3, "MHR / log-concave property suite", "mhr")
 
 
 def test_criterion_04_adaptive_below_fractional(capsys):
-    grid = 1024
-    worst_slack = math.inf
-    count = 0
-    for alpha, max_m in ((1, 6), (2, 4)):
-        per_buyer = solve_fractional(U01, U01, alpha).per_buyer_value
-        for m in range(1, max_m + 1):
-            cap = m * per_buyer
-            for stream in enumerate_alpha_balanced(alpha, m):
-                dp = adaptive_dp_oracle(stream, U01, U01, price_grid=grid)
-                worst_slack = min(worst_slack, cap + len(stream) / grid - dp)
-                count += 1
-    sb = adaptive_dp_oracle(AgentStream.from_pattern("SB"), U01, U01, price_grid=grid)
-    sb_ok = abs(sb - 1 / 64) <= 2 / grid
-    report(
-        capsys, 4, "adaptive <= fractional", worst_slack >= 0.0 and sb_ok and count == 267,
-        f"{count} balanced streams, worst slack {worst_slack:.3e}, SB value {sb:.6f}",
-    )
+    report_suite(capsys, 4, "adaptive <= fractional", "adaptive")
 
 
 def test_criterion_05_azuma_inventory_bound(capsys):
-    start = time.perf_counter()
-    ok = True
-    details = []
-    for alpha in (1, 2):
-        policy = BalancedPolicy(alpha, U01, U01)
-        for m in (10, 100, 1000):
-            leftover = expected_outcome(AgentStream.from_pattern(f"(S^{alpha} B)^{m}"), policy, U01, U01)[2]
-            bound = azuma_bound(m, alpha)
-            ok &= leftover <= bound
-            details.append(f"m={m},a={alpha}: {leftover:.2f}<={bound:.2f}")
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 120.0
-    report(capsys, 5, "inventory concentration bound", ok, "; ".join(details) + f"; {elapsed:.1f}s")
+    report_suite(capsys, 5, "inventory concentration bound", "azuma", time_limit=120.0)
 
 
 def test_criterion_06_welfare_four_competitive(capsys):

@@ -7,6 +7,7 @@ from brokersim import (
     AgentStream,
     Exponential,
     ExperimentConfig,
+    Pareto,
     RandomStream,
     Uniform,
     build_policy,
@@ -209,11 +210,38 @@ class TestExperiment:
         assert exc.value.code == 2
 
 
+def _drop_last_pair(monkeypatch):
+    fifo = verify.fifo_match
+    monkeypatch.setattr(verify, "fifo_match", lambda stream, capacity=None: fifo(stream, capacity)[:-1])
+
+
+# one way to break each suite's invariant, so that each suite is seen to fail
+BREAKS = {
+    "matching": _drop_last_pair,
+    "mhr": lambda mp: mp.setattr(verify, "_MHR_SET", (Pareto(0.5),)),
+    "adaptive": lambda mp: mp.setattr(verify.benchmarks, "adaptive_dp_oracle", lambda *a, **k: 10.0),
+    "azuma": lambda mp: mp.setattr(verify.benchmarks, "azuma_bound", lambda m, alpha: 0.0),
+    "bounds": lambda mp: mp.setattr(verify, "expected_outcome", lambda *a, **k: (1e9, 1e9, 0.0)),
+}
+
+
 class TestVerify:
-    def test_matching_suite_passes(self, capsys):
-        code, out, _ = run(["verify", "matching"], capsys)
+    def test_a_passing_suite_exits_0(self, capsys):
+        # acceptance criteria 2-5 run the other four suites on their passing path
+        code, out, _ = run(["verify", "bounds"], capsys)
         assert code == 0
-        assert "PASS" in out and "failures=0" in out
+        assert "PASS" in out and "FAIL" not in out and "failures=0" in out
+
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_a_broken_invariant_gives_a_fail_line(self, monkeypatch, suite):
+        BREAKS[suite](monkeypatch)
+        assert any(not c.passed and c.render().endswith(" FAIL") for c in verify.run_suite(suite))
+
+    def test_a_failed_check_exits_1(self, capsys, monkeypatch):
+        BREAKS["azuma"](monkeypatch)
+        code, out, _ = run(["verify", "azuma"], capsys)
+        assert code == 1
+        assert out.count(" FAIL\n") == 9 and "failures=9" in out
 
     def test_certificate_lines_keep_the_certificates_verdict(self, monkeypatch):
         # a slack inside certify_bounds' -1e-12 tolerance passes there, so it passes here too

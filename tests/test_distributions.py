@@ -20,8 +20,6 @@ from brokersim import (
 )
 from oracles import order_stat_mean_by_survival, tail_value_by_quadrature
 
-MHR_FAMILY = [Exponential(0.5), Exponential(1.0), Exponential(2.0), Uniform(0.0, 1.0), Uniform(0.0, 2.0)]
-
 
 class TestEval:
     def test_uniform_midpoint(self):
@@ -166,7 +164,7 @@ class TestMaxOrderStat:
 
     def test_exponential_is_harmonic(self):
         assert Exponential(1.0).max_order_stat_mean(2) == pytest.approx(1.5, abs=1e-12)
-        for m in (1, 2, 7, 64):
+        for m in range(1, 65):
             assert Exponential(1.0).max_order_stat_mean(m) == pytest.approx(harmonic(m), abs=1e-6)
 
     def test_pareto_asymptotic_growth(self):
@@ -218,41 +216,6 @@ class TestRegularity:
         # the hazard a/x falls while the virtual value x(1 - 1/a) rises: MHR implies
         # a nondecreasing virtual value, not the converse
         assert check_regularity(Pareto(eps)).failures == ("log-survival not concave",)
-
-
-class TestMhrPropertySuite:
-    """Grid checks of the four MHR consequences plus the log-concave tail bound."""
-
-    GRID = (np.arange(1024) + 1.0) / 1025.0
-
-    @pytest.mark.parametrize("d", MHR_FAMILY, ids=str)
-    def test_survival_at_least_1_over_e_below_mean(self, d):
-        x = np.asarray(d.quantile(self.GRID))
-        below = x <= d.mean
-        assert np.all(1.0 - self.GRID[below] >= 1 / math.e - 1e-12)
-
-    @pytest.mark.parametrize("d", MHR_FAMILY, ids=str)
-    def test_survival_below_1_over_e_above_twice_mean(self, d):
-        x = np.asarray(d.quantile(self.GRID))
-        above = x > 2 * d.mean
-        assert np.all(1.0 - self.GRID[above] < 1 / math.e)
-
-    @pytest.mark.parametrize("d", MHR_FAMILY, ids=str)
-    def test_order_stat_mean_below_harmonic_times_mean(self, d):
-        for m in range(1, 65):
-            assert d.max_order_stat_mean(m) <= harmonic(m) * d.mean + 1e-9
-
-    @pytest.mark.parametrize("d", MHR_FAMILY, ids=str)
-    def test_std_at_most_mean(self, d):
-        s = d.stats()
-        assert s.std <= s.mean + 1e-12
-
-    @pytest.mark.parametrize("d", MHR_FAMILY, ids=str)
-    def test_log_concave_tail_bound(self, d):
-        # x <= e * mu * F(x) for all x up to the mean; needs support from 0
-        x = np.asarray(d.quantile(self.GRID))
-        below = x <= d.mean
-        assert np.all(x[below] <= math.e * d.mean * self.GRID[below] + 1e-9)
 
 
 class TestTopKSumBound:

@@ -13,11 +13,11 @@ from brokersim import (
     emit_csv,
     expected_outcome,
     harmonic,
-    loglog_slope,
     run_experiment,
     uniform_offline_policy,
 )
 from brokersim.experiments import _row_seed
+from oracles import loglog_slope
 
 PARETO = "pareto-eps:0.5"
 

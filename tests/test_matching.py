@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -76,15 +74,6 @@ class TestKappa:
             sizes = [max_matchable(s, k) for k in (1, 2, 3, 4)]
             assert sizes == sorted(sizes)
             assert max_matchable(s) >= sizes[-1]
-
-
-class TestFifoMaximality:
-    def test_exhaustive_up_to_length_9(self):
-        for length in range(1, 10):
-            for bits in itertools.product((0, 1), repeat=length):
-                s = AgentStream(np.array(bits, dtype=np.uint8))
-                for cap in (1, 2, 3, None):
-                    assert len(fifo_match(s, cap)) == brute_force_max_matching(s, cap), (bits, cap)
 
 
 class TestValidator:

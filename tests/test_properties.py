@@ -1,8 +1,8 @@
 """Derandomized property tests: on random short streams, caps, policies and
 objectives, the Monte Carlo kernel equals a step-by-step reference exactly,
 and every traced trial has a valid stock trajectory; stream patterns survive
-a parse/render round trip; FIFO matching is maximum past the lengths that
-``verify matching`` enumerates."""
+a parse/render round trip; FIFO matching is maximum on lengths 13 to 20,
+past the length 12 up to which ``verify matching`` enumerates every stream."""
 
 from unittest import mock
 
@@ -115,7 +115,7 @@ def test_pattern_render_round_trip(terms, gap):
 
 
 @PROPERTY_SETTINGS
-# ``verify matching`` is exhaustive up to length 10, criterion 2 up to 12; the oracle stops at 20
+# ``verify matching``, which criterion 2 runs, is exhaustive up to length 12; the oracle stops at 20
 @given(roles=st.lists(st.sampled_from([0, 1]), min_size=13, max_size=20), cap=st.sampled_from([None, 1, 2, 3]))
 def test_fifo_matching_is_maximum_on_longer_streams(roles, cap):
     stream = AgentStream(np.array(roles, dtype=np.uint8))
