@@ -148,6 +148,12 @@ class TestAzumaBound:
         with pytest.raises(ValueError):
             azuma_bound(1, 1)
 
+    @pytest.mark.parametrize("alpha", (1, 2, 3))
+    @pytest.mark.parametrize("m", (10, 100, 1000))
+    def test_exact_inventory_under_bound(self, suite_line, m, alpha):
+        # one line of the `verify azuma` suite, which holds the check
+        assert suite_line("azuma", f"E[Z_m]<=bound m={m} alpha={alpha}").passed
+
 
 class TestBalancedProfitDecomposition:
     """The exact balanced profit of the stock chain, against the paper's

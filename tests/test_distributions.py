@@ -18,6 +18,7 @@ from brokersim import (
     parse_distribution,
     top_k_sum_bound,
 )
+from brokersim.verify import _MHR_SET
 from oracles import order_stat_mean_by_survival, tail_value_by_quadrature
 
 
@@ -216,6 +217,31 @@ class TestRegularity:
         # the hazard a/x falls while the virtual value x(1 - 1/a) rises: MHR implies
         # a nondecreasing virtual value, not the converse
         assert check_regularity(Pareto(eps)).failures == ("log-survival not concave",)
+
+
+class TestMhrPropertySuite:
+    """The `verify mhr` suite's lines, one test per prior and property, so a
+    failure names both; the suite holds the checks and their tolerances."""
+
+    @pytest.mark.parametrize("d", _MHR_SET, ids=str)
+    def test_survival_at_least_1_over_e_below_mean(self, suite_line, d):
+        assert suite_line("mhr", f"{d} survival>=1/e below mean").passed
+
+    @pytest.mark.parametrize("d", _MHR_SET, ids=str)
+    def test_survival_below_1_over_e_above_twice_mean(self, suite_line, d):
+        assert suite_line("mhr", f"{d} survival<1/e above twice mean").passed
+
+    @pytest.mark.parametrize("d", _MHR_SET, ids=str)
+    def test_order_stat_mean_below_harmonic_times_mean(self, suite_line, d):
+        assert suite_line("mhr", f"{d} order-stat mean under H_m*mu").passed
+
+    @pytest.mark.parametrize("d", _MHR_SET, ids=str)
+    def test_std_at_most_mean(self, suite_line, d):
+        assert suite_line("mhr", f"{d} std<=mean").passed
+
+    @pytest.mark.parametrize("d", _MHR_SET, ids=str)
+    def test_log_concave_tail_bound(self, suite_line, d):
+        assert suite_line("mhr", f"{d} tail bound x<=e*mu*F(x)").passed
 
 
 class TestTopKSumBound:
