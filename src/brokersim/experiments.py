@@ -7,8 +7,8 @@ Scenarios (sweep variable in parentheses):
   value mu_B^(n)/2; the ratio grows like the harmonic number H_n, and
   polynomially under heavy-tailed ``pareto-eps:<eps>`` priors on both sides.
 * ``profit-sqrt-n`` (n, even): decaying-seller-price policy on
-  S^(n/2) B^(n/2) with uniform values vs the exact expected profit of the
-  fixed-price offline witness; the ratio grows like sqrt(n).
+  S^(n/2) B^(n/2), one uniform prior on both sides, vs the exact expected
+  profit of the fixed-price offline witness; the ratio grows like sqrt(n).
 * ``stock-limited`` (n, even): stock-capped policy on (SB)^(n/2) vs the
   analytic kappa*H_n*mu_B profit bound, both ends capped at K.
 * ``balanced`` (m): balanced policy on (S^alpha B)^m vs m times the
@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import benchmarks
-from .distributions import Distribution, Uniform, parse_distribution
+from .distributions import Uniform, parse_distribution
 from .engine import monte_carlo
 from .errors import require_int
 from .policies import (
@@ -105,22 +105,16 @@ def _row_seed(cfg: ExperimentConfig, n: int) -> int:
     return int(np.random.SeedSequence((cfg.seed, n, 0)).generate_state(1)[0])
 
 
-def _require_uniform(d: Distribution, what: str) -> Uniform:
-    if not isinstance(d, Uniform):
-        raise ValueError(f"{what} requires uniform value distributions, got {d}")
-    return d
-
-
 def _scenario_point(cfg, n, f_s, f_b):
     """One sweep point: (stream, policy, objective, offline benchmark value)."""
     if cfg.scenario == "welfare-log-n":
         return AgentStream.from_pattern(f"S B^{n}"), MedianPolicy(f_s, f_b), "welfare", benchmarks.prophet_price(f_b, n)
 
     if cfg.scenario == "profit-sqrt-n":
-        uni = _require_uniform(f_s, "profit-sqrt-n")
-        _require_uniform(f_b, "profit-sqrt-n")
+        if not (isinstance(f_s, Uniform) and f_b == f_s):
+            raise ValueError(f"profit-sqrt-n needs one uniform prior on both sides, got seller {f_s}, buyer {f_b}")
         stream = AgentStream.from_pattern(f"S^{n // 2} B^{n // 2}")
-        q, p, _ = benchmarks.uniform_offline_policy(uni.lo, uni.hi)
+        q, p, _ = benchmarks.uniform_offline_policy(f_s.lo, f_s.hi)
         offline = benchmarks.split_stream_profit(n // 2, q, p, f_s, f_b)
         return stream, DecayingSellerPolicy(cfg.decay_eps, f_s, f_b), "profit", offline
 

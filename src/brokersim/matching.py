@@ -6,7 +6,9 @@ their seller at or before t and their buyer after t (those items would all
 be in stock simultaneously).  ``capacity=None`` means unbounded.
 
 ``fifo_match`` is the online single-pass algorithm; ``brute_force_max_matching``
-is the independent exhaustive oracle used to certify that FIFO is maximal.
+is the independent oracle used to certify that FIFO is maximal: a backward
+table over (step, reserved sellers) that tries every reserve/consume choice
+and shares nothing with FIFO's queue.
 """
 
 from __future__ import annotations
@@ -37,37 +39,29 @@ def fifo_match(stream: AgentStream, capacity: int | None = None) -> tuple[tuple[
 
 
 def brute_force_max_matching(stream: AgentStream, capacity: int | None = None) -> int:
-    """Maximum matching size by exhaustive backtracking over assignments.
+    """Maximum matching size by backward induction over (step, reserved).
 
-    At each seller the search branches on reserving it for a later buyer or
-    not; at each buyer on consuming a reserved seller or not.  Identical
-    (position, reserved-count) subproblems are memoized.  Refuses streams
-    longer than 20: this is an oracle, not a production path.
+    ``best[k]`` is the most pairs the rest of the stream can add while k
+    sellers are reserved for later buyers; it starts at zero past the last
+    step.  Each seller may be reserved or not, each buyer may consume a
+    reserved seller or not, so every assignment is tried.  A seller step
+    sweeps k upward and a buyer step downward, so each update reads the
+    later step's entries.  Refuses streams longer than 20: this is an
+    oracle, not a production path.
     """
     n = len(stream)
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force oracle is limited to length <= {_BRUTE_FORCE_LIMIT}, got {n}")
     cap = stream.fold_cap(capacity=capacity)
-    roles = stream.roles.tolist()
-    memo: dict[tuple[int, int], int] = {}
-
-    def go(t: int, reserved: int) -> int:
-        if t == n:
-            return 0
-        key = (t, reserved)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = go(t + 1, reserved)
-        if roles[t] == SELLER:
-            if reserved < cap:
-                best = max(best, go(t + 1, reserved + 1))
-        elif reserved > 0:
-            best = max(best, 1 + go(t + 1, reserved - 1))
-        memo[key] = best
-        return best
-
-    return go(0, 0)
+    best = [0] * (cap + 1)
+    for role in reversed(stream.roles.tolist()):
+        if role == SELLER:
+            for k in range(cap):
+                best[k] = max(best[k], best[k + 1])
+        else:
+            for k in range(cap, 0, -1):
+                best[k] = max(best[k], 1 + best[k - 1])
+    return best[0]
 
 
 def max_matchable(stream: AgentStream, capacity: int | None = None) -> int:

@@ -107,7 +107,7 @@ def _suite_mhr() -> Iterator[CheckLine]:
 
         above = x > 2.0 * mu
         slack = float(np.min(1.0 / math.e - surv[above])) if above.any() else math.inf
-        yield _line("mhr", f"{d} survival<1/e above twice mean", slack)
+        yield _line("mhr", f"{d} survival<=1/e above twice mean", slack)
 
         slack = min(
             harmonic(m) * mu - d.max_order_stat_mean(m) for m in range(1, 65)

@@ -192,6 +192,16 @@ class TestExperiment:
         assert f"does not read {name}" in err and argv[0] in err
         assert not out_path.exists()
 
+    def test_unequal_uniform_priors_are_usage_error(self, capsys, tmp_path):
+        # the offline witness is defined for one interval on both sides; on two its offline value can be negative
+        out_path = tmp_path / "rows.csv"
+        argv = ["experiment", "profit-sqrt-n", "--n-values", "256,1024", "--trials", "100"]
+        argv += ["--seller-dist", "uniform:0,1", "--buyer-dist", "uniform:0,0.5", "--out", str(out_path)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "profit-sqrt-n" in err and "uniform:0,1" in err and "uniform:0,0.5" in err
+        assert not out_path.exists()
+
     def test_bad_n_values_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "balanced", "--n-values", "20,x"])

@@ -229,7 +229,7 @@ class TestMhrPropertySuite:
 
     @pytest.mark.parametrize("d", _MHR_SET, ids=str)
     def test_survival_below_1_over_e_above_twice_mean(self, suite_line, d):
-        assert suite_line("mhr", f"{d} survival<1/e above twice mean").passed
+        assert suite_line("mhr", f"{d} survival<=1/e above twice mean").passed
 
     @pytest.mark.parametrize("d", _MHR_SET, ids=str)
     def test_order_stat_mean_below_harmonic_times_mean(self, suite_line, d):

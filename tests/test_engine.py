@@ -157,15 +157,6 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="must lie in"):
             run_trial(stream("SSB"), FixedPricePolicy(0.5, 0.5), U, U, np.array([0.1, np.nan, 0.9]))
 
-    def test_logs_validate_on_random_configs(self, rng):
-        for _ in range(20):
-            roles = rng.integers(0, 2, size=30).astype(np.uint8)
-            s = AgentStream(roles)
-            gen = np.random.default_rng(int(rng.integers(0, 2**32)))
-            log = run_trial(s, MedianPolicy(U, E), U, E, gen.random(30))
-            log.validate()
-            assert log.stock_after.min() >= 0
-
     def test_terminal_stock_equals_bought_minus_sold(self):
         pol = BalancedPolicy(1, U, U)
         log = run_trial(stream("(SB)^50"), pol, U, U, RandomStream(8).trial_uniforms(0, 100))
@@ -265,8 +256,9 @@ class TestValidate:
             ([0, 1], [True, True], [1, 1], None, "moved by 0 on a trade at step 1"),
             ([0, 0], [False, False], [0, 1], None, "moved by 1 without a trade at step 1"),
             ([0, 0, 0], [True, True, False], [1, 2, 2], 1, "stock 2 above cap 1 at step 1"),
+            ([1], [True], [-1], None, "short sale at step 0"),
         ],
-        ids=["wrong-move-on-trade", "move-without-trade", "above-cap"],
+        ids=["wrong-move-on-trade", "move-without-trade", "above-cap", "short-sale"],
     )
     def test_broken_logs_fail_fast(self, roles, traded, stock_after, cap, message):
         with pytest.raises(ValueError, match=message):

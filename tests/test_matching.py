@@ -66,6 +66,8 @@ class TestKappa:
             roles = rng.integers(0, 2, size=int(rng.integers(1, 40))).astype(np.uint8)
             s = AgentStream(roles)
             assert max_matchable(s) == kappa_by_flow(s)
+            if len(s) <= 20:
+                assert brute_force_max_matching(s) == kappa_by_flow(s)
 
     def test_monotone_in_capacity(self, rng):
         for _ in range(25):

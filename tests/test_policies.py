@@ -16,7 +16,6 @@ from brokersim import (
     SpecParseError,
     StockLimitedPolicy,
     Uniform,
-    TradeLog,
     build_policy,
     run_trial,
 )
@@ -104,17 +103,6 @@ class TestStateMachine:
         log = trace("SBB", FixedPricePolicy(0.5, 0.5), [0.1], [0.9, 0.9])
         assert log.traded.tolist() == [True, True, False]
         assert log.stock_after.tolist() == [1, 0, 0]
-
-    def test_short_sale_fails_fast(self):
-        log = TradeLog(
-            roles=np.array([1], np.uint8),
-            prices=np.array([0.5]),
-            values=np.array([0.9]),
-            traded=np.array([True]),
-            stock_after=np.array([-1], np.int64),
-        )
-        with pytest.raises(ValueError, match="short sale"):
-            log.validate()
 
     def test_fresh_resets_state(self):
         # nothing to reset: a run leaves the policy untouched, and its
