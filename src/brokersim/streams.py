@@ -1,9 +1,10 @@
 """Agent arrival sequences: concrete streams, the pattern language, the
-alpha-balance predicate and balanced-stream generators.
+alpha-balance predicate and balanced-stream generators; these three read
+one balance walk, +1 per seller and -alpha per buyer (``_balance_walk``).
 
 Patterns follow the grammar ``pattern := term+`` with
-``term := atom | atom '^' uint | '(' pattern ')' '^' uint`` and
-``atom := 'S' | 'B'`` (whitespace ignored), e.g. ``"(S^2 B)^3"``.
+``term := atom | atom '^' uint | '(' pattern ')' '^' uint``, ``atom := 'S' | 'B'``
+and ``uint`` ASCII digits (whitespace ignored), e.g. ``"(S^2 B)^3"``.
 Expansion is capped at 10^8 roles and groups nest at most 100 levels deep;
 larger inputs are rejected at parse time.
 """
@@ -57,13 +58,6 @@ class StreamPattern:
         ]
         return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint8)
 
-    def render(self) -> str:
-        return " ".join(
-            f"({node.render()})^{count}" if isinstance(node, StreamPattern)
-            else _CHAR_FOR_ROLE[node] + ("" if count == 1 else f"^{count}")
-            for node, count in self.parts
-        )
-
 
 def _skip_ws(text: str, i: int) -> int:
     while i < len(text) and text[i].isspace():
@@ -73,7 +67,7 @@ def _skip_ws(text: str, i: int) -> int:
 
 def _parse_uint(text: str, i: int) -> tuple[int, int]:
     j = i
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and "0" <= text[j] <= "9":
         j += 1
     if j == i:
         raise SpecParseError(f"expected repetition count at position {i} in {text!r}")
@@ -118,9 +112,7 @@ def parse_pattern(text: str) -> StreamPattern:
     applies to the root: a group repeated 0 times may be longer)."""
     if not text or not text.strip():
         raise SpecParseError("empty stream pattern")
-    parts, i = _parse_seq(text, 0, depth=0)
-    if i != len(text):
-        raise SpecParseError(f"trailing input at position {i} in {text!r}")
+    parts, _ = _parse_seq(text, 0, depth=0)  # at depth 0 it consumes all of text or raises
     pattern = StreamPattern(tuple(parts))
     if (total := pattern.length()) > MAX_EXPANSION:
         raise SpecParseError(f"pattern expands to {total} roles, above the {MAX_EXPANSION} cap")
@@ -133,9 +125,10 @@ class AgentStream:
     __slots__ = ("roles", "n_S", "n_B")
 
     def __init__(self, roles: np.ndarray):
-        roles = np.ascontiguousarray(roles, dtype=np.uint8)
+        roles = np.asarray(roles)  # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
         if roles.size and not np.all((roles == SELLER) | (roles == BUYER)):
             raise ValueError("roles must be SELLER (0) or BUYER (1)")
+        roles = np.ascontiguousarray(roles, dtype=np.uint8)
         roles.setflags(write=False)
         self.roles = roles
         self.n_S = int(np.count_nonzero(roles == SELLER))
@@ -156,10 +149,6 @@ class AgentStream:
         cap at or above n_S never binds; every scorer reads its cap here."""
         return min([self.n_S, *(require_int(k, v, 1) for k, v in limits.items() if v is not None)])
 
-    def seller_prefix_counts(self) -> np.ndarray:
-        """Cumulative seller count, a fresh array; entry t is the count in roles[:t+1]."""
-        return np.cumsum(self.roles == SELLER)
-
     def __len__(self):
         return self.roles.size
 
@@ -179,34 +168,35 @@ def expand(pattern: StreamPattern) -> AgentStream:
     return AgentStream(pattern.materialize())
 
 
+def _balance_walk(roles: np.ndarray, alpha: int) -> np.ndarray:
+    """The walk after each role: cumulative sum of +1 per seller and -alpha per buyer."""
+    return np.cumsum(np.where(roles == SELLER, 1, -alpha))
+
+
 def is_alpha_balanced(stream: AgentStream, alpha: int) -> bool:
-    """True iff n_S = alpha * n_B and the i-th buyer has >= alpha*i sellers before it."""
+    """True iff n_S = alpha * n_B and the balance walk never drops below 0."""
     alpha = require_int("alpha", alpha, 1)
     if stream.n_S != alpha * stream.n_B:
         return False
-    if stream.n_B == 0:
-        return True
-    cum = stream.seller_prefix_counts()
-    buyer_pos = np.nonzero(stream.roles == BUYER)[0]
-    need = alpha * np.arange(1, stream.n_B + 1)
-    return bool(np.all(cum[buyer_pos] >= need))
+    # counts first: with buyers present alpha <= n_S, so the walk fits int64
+    return stream.n_B == 0 or bool(np.all(_balance_walk(stream.roles, alpha) >= 0))
 
 
 def random_alpha_balanced(alpha: int, m: int, rng: np.random.Generator) -> AgentStream:
     """Uniform random alpha-balanced stream with m buyers, in O(n).
 
     Cycle lemma (Dvoretzky-Motzkin): of the rotations of a shuffle of
-    alpha*m + 1 sellers and m buyers, exactly one keeps the walk (+1 per
-    seller, -alpha per buyer) positive, the one starting just after the
-    walk's last minimum.  Without its lead seller it is alpha-balanced, and
-    every balanced stream comes from equally many shuffles.
+    alpha*m + 1 sellers and m buyers, exactly one keeps the balance walk
+    positive, the one starting just after the walk's last minimum (no
+    rotation when that is the final step).  Without its lead seller it is
+    alpha-balanced, and every balanced stream comes from equally many shuffles.
     """
     alpha = require_int("alpha", alpha, 1)
     m = require_int("m", m, 0)
     roles = np.repeat(np.array([SELLER, BUYER], dtype=np.uint8), (alpha * m + 1, m))
     rng.shuffle(roles)
-    walk = np.concatenate(([0], np.cumsum(np.where(roles == SELLER, 1, -alpha))[:-1]))
-    start = walk.size - 1 - int(np.argmin(walk[::-1]))
+    walk = _balance_walk(roles, alpha)
+    start = walk.size - int(np.argmin(walk[::-1]))
     return AgentStream(np.roll(roles, -start)[1:])
 
 
@@ -217,15 +207,15 @@ def enumerate_alpha_balanced(alpha: int, m: int) -> Iterator[AgentStream]:
     n_s = alpha * n_b
     buf = np.zeros(n_s + n_b, dtype=np.uint8)
 
-    def rec(i, s_used, b_used):
+    def rec(i, sellers_left, walk):
         if i == buf.size:
             yield AgentStream(buf.copy())
             return
-        if s_used < n_s:
+        if sellers_left:
             buf[i] = SELLER
-            yield from rec(i + 1, s_used + 1, b_used)
-        if b_used < n_b and s_used >= alpha * (b_used + 1):
+            yield from rec(i + 1, sellers_left - 1, walk + 1)
+        if walk >= alpha:
             buf[i] = BUYER
-            yield from rec(i + 1, s_used, b_used + 1)
+            yield from rec(i + 1, sellers_left, walk - alpha)
 
-    return rec(0, 0, 0)
+    return rec(0, n_s, 0)

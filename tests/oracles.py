@@ -19,9 +19,12 @@ induction one stock level at a time (the library steps all levels at
 once); it keeps the library's floating-point order, so the two agree
 exactly.  ``loglog_slope`` fits the scaling exponent of a sweep's ratios,
 which the acceptance criteria for the sqrt(n) and Pareto laws bound.
+``expand_pattern_text`` expands a stream pattern by rewriting its text,
+innermost group first (the library parses it into a tree).
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +112,26 @@ def loglog_slope(ns, values) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+_REPEATED_ATOM = re.compile(r"([SB])\^([0-9]+)")
+_INNERMOST_GROUP = re.compile(r"\(([SB]*)\)\^([0-9]+)")
+
+
+def expand_pattern_text(text):
+    """The S/B string a well-formed pattern stands for: drop whitespace, write
+    out each ``S^k``/``B^k``, then each innermost ``(...)^k`` until no group is left."""
+    text = _REPEATED_ATOM.sub(lambda m: m[1] * int(m[2]), re.sub(r"\s", "", text))
+    while "(" in text:
+        text, groups = _INNERMOST_GROUP.subn(lambda m: m[1] * int(m[2]), text)
+        if not groups:
+            raise ValueError(f"malformed pattern text {text!r}")
+    return text
+
+
 def prefix_dominates(s1, s2):
     """Weak domination: every prefix of s1 has at least as many sellers as s2's."""
     if len(s1) != len(s2):
         raise ValueError(f"streams must have equal length, got {len(s1)} and {len(s2)}")
-    return bool(np.all(s1.seller_prefix_counts() >= s2.seller_prefix_counts()))
+    return bool(np.all(np.cumsum(s1.roles == SELLER) >= np.cumsum(s2.roles == SELLER)))
 
 
 def validate_matching(pairs, stream, capacity=None):

@@ -46,6 +46,9 @@ class TestWelfareUpperBound:
     def test_lonely_buyer(self):
         assert welfare_upper_bound(stream("B"), U, U) == 0.0
 
+    def test_sellers_only(self):
+        assert welfare_upper_bound(stream("S^3"), U, U) == 1.5
+
     def test_simulated_median_welfare_stays_below(self, rng):
         for text in ("S B^6", "(SB)^25", "S^8 B^8"):
             s = stream(text)

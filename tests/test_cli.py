@@ -247,6 +247,10 @@ class TestVerify:
         BREAKS[suite](monkeypatch)
         assert any(not c.passed and c.render().endswith(" FAIL") for c in verify.run_suite(suite))
 
+    def test_unknown_suite_is_refused(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            verify.run_suite("nope")
+
     def test_a_failed_check_exits_1(self, capsys, monkeypatch):
         BREAKS["azuma"](monkeypatch)
         code, out, _ = run(["verify", "azuma"], capsys)
@@ -370,6 +374,12 @@ class TestConfigAndEnv:
         conf.write_text("# comment only\nn_values = 4, 8,16\ndecay_eps = 0.25\nout = results.csv\n")
         values = parse_config(str(conf))
         assert values == {"n_values": "4, 8,16", "decay_eps": "0.25", "out": "results.csv"}
+
+    def test_config_line_without_a_value_names_file_and_line(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("policy = median\nstream =\n")
+        assert exit_code(TestSimulate.ARGS + ["--config", str(conf)]) == 2
+        assert f"{conf}:2" in capsys.readouterr().err
 
     def test_parse_config_rejects_bad_lines(self, tmp_path):
         conf = tmp_path / "broken.conf"

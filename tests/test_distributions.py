@@ -197,6 +197,10 @@ class TestPartialMean:
         for y in probe:
             assert d.upper_partial_mean(y) == pytest.approx(tail_value_by_quadrature(d, y), rel=1e-7, abs=1e-10)
 
+    @pytest.mark.parametrize("y", [0.5, 1.0])
+    def test_pareto_at_or_below_its_support_is_the_mean(self, y):
+        assert Pareto(0.5).upper_partial_mean(y) == 2.0
+
 
 class TestRegularity:
     def test_exponential_both_flags(self):

@@ -29,6 +29,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="balanced", n_values=(100, 50))
 
+    def test_rejects_empty_sweep(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ExperimentConfig(scenario="balanced", n_values=())
+
     def test_rejects_tiny_trials(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="balanced", n_values=(50,), trials=99)

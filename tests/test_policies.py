@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,10 +162,13 @@ class TestBuildPolicy:
 
     @pytest.mark.parametrize(
         "bad",
-        ["stock:0", "decay:0.6", "decay:0", "balanced:0", "fixed:1", "quantile:1,2", "haggle:1", "fixed:a,b", "stock:1.5", "median:1"],
+        [
+            "stock:0", "decay:0.6", "decay:0", "balanced:0", "fixed:1", "quantile:1,2", "haggle:1", "fixed:a,b",
+            "stock:1.5", "median:1", "fixed:-0.1,0.5", "fixed:inf,0.5", "fixed:0.5,nan",
+        ],
     )
     def test_bad_specs(self, bad):
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecParseError, match=re.escape(repr(bad))):
             build_policy(bad, U, U)
 
     def test_regularity_error_propagates(self):

@@ -1,8 +1,9 @@
 """Derandomized property tests: on random short streams, caps, policies and
 objectives, the Monte Carlo kernel equals a step-by-step reference exactly,
-and every traced trial has a valid stock trajectory; stream patterns survive
-a parse/render round trip; FIFO matching is maximum on lengths 13 to 20,
-past the length 12 up to which ``verify matching`` enumerates every stream."""
+and every traced trial has a valid stock trajectory; stream patterns expand
+as a text-rewriting oracle expands them; FIFO matching is maximum on lengths
+13 to 20, past the length 12 up to which ``verify matching`` enumerates every
+stream."""
 
 from unittest import mock
 
@@ -23,7 +24,7 @@ from brokersim import (
     run_trial,
 )
 from brokersim.engine import _mc_samples
-from oracles import resolve_trial_by_steps, resolve_trials_by_steps, trial_rows
+from oracles import expand_pattern_text, resolve_trial_by_steps, resolve_trials_by_steps, trial_rows
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -106,12 +107,12 @@ TERMS = st.recursive(
 
 @PROPERTY_SETTINGS
 @given(terms=st.lists(TERMS, min_size=1, max_size=4), gap=st.sampled_from(["", " ", "  "]))
-def test_pattern_render_round_trip(terms, gap):
-    p = parse_pattern(gap.join(terms))
-    again = parse_pattern(p.render())
-    assert again.render() == p.render()
-    assert np.array_equal(expand(again).roles, expand(p).roles)
-    assert len(expand(p)) == p.length()
+def test_pattern_expands_like_text_rewriting(terms, gap):
+    text = gap.join(terms)
+    pattern = parse_pattern(text)
+    want = expand_pattern_text(text)
+    assert expand(pattern).text == want
+    assert pattern.length() == len(want)
 
 
 @PROPERTY_SETTINGS
