@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -127,10 +128,12 @@ def _cmd_simulate(args) -> int:
     f_b = parse_distribution(args.buyer_dist)
     stream = AgentStream.from_pattern(args.stream)
     policy = build_policy(args.policy, f_s, f_b)
-    est = monte_carlo(
-        stream, policy, f_s, f_b, args.trials, args.seed,
-        stock_cap=args.stock_cap, objective=args.objective,
-    )
+    try:
+        est = monte_carlo(stream, policy, f_s, f_b, args.trials, args.seed, args.stock_cap, args.objective)
+    except OverflowError:  # math.fsum of finite samples past float64
+        est = None
+    if est is None or not (math.isfinite(est.mean) and math.isfinite(est.std_err)):
+        raise ValueError(f"the estimate of {args.policy} on {args.seller_dist}/{args.buyer_dist} is not finite")
     print(
         f"objective={args.objective} mean={_fmt(est.mean)} std_err={_fmt(est.std_err)} "
         f"ci95_low={_fmt(est.ci95_low)} ci95_high={_fmt(est.ci95_high)} "

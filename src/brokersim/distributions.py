@@ -122,8 +122,8 @@ class Uniform(Distribution):
     hi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi < math.inf):
-            raise ValueError(f"uniform requires 0 <= lo < hi < inf, got lo={self.lo}, hi={self.hi}")
+        if not (0.0 <= self.lo < self.hi < math.inf and self.lo + self.hi < math.inf):
+            raise ValueError(f"uniform requires 0 <= lo < hi and a float64 mean, got lo={self.lo}, hi={self.hi}")
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -172,8 +172,8 @@ class Exponential(Distribution):
     rate: float
 
     def __post_init__(self):
-        if not (0.0 < self.rate < math.inf):
-            raise ValueError(f"exponential rate must be positive and finite, got {self.rate}")
+        if not (0.0 < self.rate < math.inf and 1.0 / self.rate < math.inf):
+            raise ValueError(f"exponential rate must be finite with a float64 mean 1/rate, got {self.rate}")
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -223,8 +223,8 @@ class Pareto(Distribution):
     eps: float
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"pareto eps must lie in (0, 1), got {self.eps}")
+        if not (0.0 < self.eps < 1.0 and 1.0 / self.eps < math.inf):
+            raise ValueError(f"pareto eps must lie in (0, 1) with a float64 mean 1/eps, got {self.eps}")
 
     @property
     def _shape(self) -> float:

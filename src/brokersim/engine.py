@@ -29,9 +29,11 @@ and the trial count rounds up to whole blocks (extra lanes are discarded), so
 every sample is independent of the chunk size, the slab size and the number
 of trials.  Estimates reduce in trial-index order with compensated
 summation, so results are identical across reruns.  One slab of at most
-``_STEP_SLAB`` x ``_TRIAL_CHUNK`` float64 uniforms (32 x 8192, 2 MiB, small
-enough to stay in cache between the fill and the step loop) serves a whole
-run, whatever the stream length and trial count.
+``_STEP_SLAB`` x ``_TRIAL_CHUNK`` float64 uniforms (32 x 8192, 2 MiB, kept in
+cache from the fill to the step loop) serves a whole run, whatever its size.
+Per slab, one compare writes the accept flags step-major, stock moves in int8
+counts, a run of uncapped sellers is one count, and varying seller spend is
+added where a lane traded, in step order: all bit-identical (see ``_resolve``).
 
 Dead buyers are skipped: when a slab would start on a buyer while no trial of
 the chunk holds stock, it starts at the next seller instead, and the run ends
@@ -66,6 +68,7 @@ __all__ = [
 
 _TRIAL_CHUNK = 8192
 _STEP_SLAB = 32
+_RUN_LOAD = 0.25
 _LANES = 128
 _OBJECTIVES = ("profit", "welfare")
 
@@ -195,10 +198,7 @@ def run_trial(
     if row.shape != (len(stream),):
         raise ValueError(f"uniforms must have shape ({len(stream)},), got {row.shape}")
 
-    def draws(start, depth):
-        return row[start : start + depth, None]
-
-    _, stock_after = _resolve(sched, f_s, f_b, (1,), draws, "profit")
+    _, stock_after = _resolve(sched, f_s, f_b, (1,), lambda start, depth: row[start : start + depth, None], "profit")
     traded = np.diff(stock_after, prepend=0) != 0  # every trade moves stock by one, nothing else does
 
     values = np.empty(len(stream))
@@ -248,6 +248,8 @@ def _price_schedule(policy, stream, f_s, f_b, stock_cap):
     price[seller] = policy.seller_prices(stream.n_S)
     thresh = np.full(len(stream), float(f_b.cdf(policy.p)))
     thresh[seller] = f_s.cdf(price[seller])
+    if np.isnan(thresh).any():  # the kernel reads "not u < thresh" as a buyer's u >= thresh
+        raise ValueError(f"a cdf of {f_s}/{f_b} is NaN at a posted price")
     return seller, price, thresh, cap
 
 
@@ -294,16 +296,21 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
 
     ``sched`` is the schedule of ``_price_schedule`` and ``shape`` the trials'
     shape; ``draws(start, depth)`` returns the uniforms of steps
-    start..start+depth-1 as an array whose axis -2 is the step, so step k of a
-    slab is ``slab[..., k, :]``.  Steps run in slabs of ``_STEP_SLAB``, and
-    per-trial results do not depend on the slab size.  Dead buyers are skipped
-    (see the module docstring), so ``draws`` is called with increasing starts
-    that may jump past steps.  Returns the per-trial objective ("profit" or
-    "welfare") and, for a single trial (shape ``(1,)``), its per-step stock
-    levels (an empty array otherwise), its only trace: a step traded iff its
-    stock moved.  Profit is priced from the counts at the end, but spend at
-    varying seller prices is summed per step.
+    start..start+depth-1 as an array whose axis -2 is the step.  Steps run in
+    slabs of ``_STEP_SLAB``; per-trial results do not depend on the slab size.
+    Dead buyers are skipped (see the module docstring), so ``draws`` is called
+    with increasing starts that may jump past steps.  Returns the per-trial
+    objective ("profit" or "welfare") and, for a single trial (shape ``(1,)``),
+    its per-step stock levels (an empty array otherwise), its only trace: a
+    step traded iff its stock moved.
+
+    Per slab, flags ``u < thresh`` are written step-major (a buyer accepts on
+    False), stock moves in int8 counts from its slab-start level, a run of
+    uncapped sellers on the profit objective adds only its count, and varying
+    seller spend is added by ``np.add.at`` where a lane traded, in step order,
+    in runs cut at ``_RUN_LOAD`` expected trades per lane: all bit-identical.
     """
+    assert 3 * _STEP_SLAB + 2 <= 127  # the int8 counts of a slab cannot wrap
     seller, price, thresh, cap = sched
     n = seller.size
     sellers = np.flatnonzero(seller)
@@ -312,8 +319,11 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     need_values = objective == "welfare"
     step_spend = not need_values and price.max(where=seller, initial=-np.inf) != price.min(where=seller, initial=np.inf)
     stock, sold = np.zeros((2, *shape), dtype=np.int32)  # both <= n_S <= streams.MAX_EXPANSION (10^8) < 2^31
+    # per slab: a buyer has stock iff sold_in_slab < held, a seller has room iff held < roof
+    held, sold_in_slab, roof = np.zeros((3, *shape), dtype=np.int8)
+    accept = np.empty((_STEP_SLAB, *shape), dtype=bool)
     trade, room = np.empty((2, *shape), dtype=bool)
-    spend, score = np.zeros((2, *shape))
+    sums = np.zeros(shape)  # welfare, or spend at varying seller prices
     stock_after = np.zeros(n if trace else 0, dtype=np.int64)
     slab_start = 0
     while slab_start < n:
@@ -326,34 +336,52 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
         stop = min(slab_start + _STEP_SLAB, n)
         slab = draws(slab_start, stop - slab_start)
         window = slice(slab_start, stop)
+        column = thresh[window].reshape(-1, *[1] * len(shape))
+        flags = np.less(np.moveaxis(slab, -2, 0), column, out=accept[: stop - slab_start])
+        np.minimum(stock, _STEP_SLAB + 1, out=held)  # the stock that the slab's buyers can reach
+        if capped:  # plus the room that its sellers can reach
+            np.add(np.minimum(cap - stock, _STEP_SLAB + 1, out=roof), held, out=roof)
+        stock -= held  # until the slab ends, stock is stock + held - sold_in_slab
+        sold_in_slab[...] = 0
         # the step loop's Python scalars are made per slab, so they stay slab-sized
-        steps = zip(seller[window].tolist(), price[window].tolist(), thresh[window].tolist())
-        for k, (sells, p, th) in enumerate(steps):
-            u = slab[..., k, :]
-            if sells:
-                np.less(u, th, out=trade)
-                if capped:
-                    trade &= np.less(stock, cap, out=room)
-                stock += trade
+        sells, ths = seller[window].tolist(), thresh[window].tolist()
+        k = 0
+        while k < len(sells):
+            k1 = k + 1
+            if sells[k] and not (capped or need_values or trace):  # the run needs only its count
+                load = ths[k]
+                while k1 < len(sells) and sells[k1] and (not step_spend or load + ths[k1] <= _RUN_LOAD):
+                    k1, load = k1 + 1, load + ths[k1]
+                run = flags[k:k1]
+                held += run.view(np.int8).sum(axis=0, dtype=np.int8)
+                if step_spend:
+                    steps, lanes = np.divmod(np.flatnonzero(run), sums.size)
+                    np.add.at(sums.reshape(-1), lanes, price[slab_start + k + steps])
+            elif sells[k]:
+                row = np.logical_and(flags[k], np.less(held, roof, out=room), out=trade) if capped else flags[k]
+                held += row.view(np.int8)
                 if need_values:
-                    score += ~trade * f_s.inverse_cdf(u)
+                    sums += ~row * f_s.inverse_cdf(slab[..., k, :])
                 elif step_spend:
-                    spend += trade * p
+                    sums += row * price[slab_start + k]
             else:
-                np.greater_equal(u, th, out=trade)
-                trade &= np.greater(stock, 0, out=room)
-                stock -= trade
+                row = np.greater(np.less(sold_in_slab, held, out=room), flags[k], out=trade)  # stock and no accept
+                sold_in_slab += row.view(np.int8)
+                if capped:
+                    roof += row.view(np.int8)
                 if need_values:
-                    score += trade * f_b.inverse_cdf(u)
-                else:
-                    sold += trade
+                    sums += row * f_b.inverse_cdf(slab[..., k, :])
             if trace:
-                stock_after[slab_start + k] = stock[0]
+                stock_after[slab_start + k] = stock[0] + held[0] - sold_in_slab[0]
+            k = k1
+        stock += held
+        stock -= sold_in_slab
+        sold += sold_in_slab
         slab_start = stop
     if not need_values:
-        spend = spend if step_spend else _fold_sums(price[sellers[0]], sold + stock)
-        score = _fold_sums(price[seller.argmin()] if n else 0.0, sold) - spend
-    return score, stock_after
+        spend = sums if step_spend else _fold_sums(price[sellers[0]], sold + stock)
+        sums = np.subtract(_fold_sums(price[seller.argmin()] if n else 0.0, sold), spend, out=spend)
+    return sums, stock_after
 
 
 def _fold_sums(x, counts):

@@ -183,7 +183,7 @@ def is_alpha_balanced(stream: AgentStream, alpha: int) -> bool:
 
 
 def random_alpha_balanced(alpha: int, m: int, rng: np.random.Generator) -> AgentStream:
-    """Uniform random alpha-balanced stream with m buyers, in O(n).
+    """Uniform random alpha-balanced stream with m buyers, in O(n), at most ``MAX_EXPANSION`` roles.
 
     Cycle lemma (Dvoretzky-Motzkin): of the rotations of a shuffle of
     alpha*m + 1 sellers and m buyers, exactly one keeps the balance walk
@@ -193,6 +193,10 @@ def random_alpha_balanced(alpha: int, m: int, rng: np.random.Generator) -> Agent
     """
     alpha = require_int("alpha", alpha, 1)
     m = require_int("m", m, 0)
+    if m == 0:
+        return AgentStream(np.zeros(0, dtype=np.uint8))
+    if alpha * m + m > MAX_EXPANSION:
+        raise ValueError(f"alpha * m + m = {alpha * m + m} roles, above the streams.MAX_EXPANSION cap {MAX_EXPANSION}")
     roles = np.repeat(np.array([SELLER, BUYER], dtype=np.uint8), (alpha * m + 1, m))
     rng.shuffle(roles)
     walk = _balance_walk(roles, alpha)

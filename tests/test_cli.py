@@ -102,6 +102,21 @@ class TestSimulate:
         code, _, err = run(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "policy,seller,buyer,needle",
+        [
+            ("fixed:1e308,1e308", "uniform:0,1", "uniform:0,1", "fixed:1e308,1e308"),  # math.fsum overflows
+            ("median", "exp:1e-320", "uniform:0,1", "exp:1e-320"),  # the mean 1/rate overflows
+            ("median", "uniform:0,1e308", "uniform:0,1e308", "uniform:0,1e308"),  # std_err overflows
+        ],
+    )
+    def test_float64_overflow_is_a_one_line_usage_error(self, capsys, policy, seller, buyer, needle):
+        argv = ["simulate", "--stream", "SB", "--policy", policy, "--seller-dist", seller, "--buyer-dist", buyer,
+                "--trials", "1000", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
     def test_negative_seed_is_usage_error_naming_seed(self, capsys):
         code, _, err = run(self.ARGS[:-1] + ["-1"], capsys)
         assert code == 2

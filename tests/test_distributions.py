@@ -299,6 +299,9 @@ class TestParse:
             ("uniform:0,inf", "uniform:0,inf"),
             ("uniform:0,1e309", "uniform:0,1e309"),
             ("exp:inf", "exp:inf"),
+            ("exp:1e-320", "float64 mean"),
+            ("uniform:1e308,1.7e308", "float64 mean"),
+            ("pareto-eps:1e-320", "float64 mean"),
         ],
     )
     def test_errors_name_offending_token(self, bad, needle):

@@ -11,6 +11,7 @@ from brokersim import (
     SELLER,
     AgentStream,
     BalancedPolicy,
+    Distribution,
     Exponential,
     FixedPricePolicy,
     MedianPolicy,
@@ -234,6 +235,26 @@ class TestPriceSchedule:
         assert len(built) == 1 and len(read) == kernel_calls
         assert all(sched is built[0] for sched in read)
 
+    @pytest.mark.parametrize("side", ["seller", "buyer"])
+    def test_a_nan_acceptance_quantile_is_refused(self, side):
+        # the kernel reads a buyer's u >= F_B(p) as "not u < F_B(p)", which NaN would break
+        priors = {"seller": (NanCdf(), U), "buyer": (U, NanCdf())}[side]
+        s, policy = stream("S^3 B^3"), FixedPricePolicy(0.5, 0.5)
+        for call in (
+            lambda: monte_carlo(s, policy, *priors, 10, 1),
+            lambda: run_trial(s, policy, *priors, np.full(6, 0.5)),
+            lambda: expected_outcome(s, policy, *priors),
+        ):
+            with pytest.raises(ValueError, match="NaN"):
+                call()
+
+
+class NanCdf(Distribution):
+    """A prior whose cdf is NaN at every price."""
+
+    def cdf(self, x):
+        return np.full(np.shape(x), np.nan) if np.ndim(x) else math.nan
+
 
 def hand_log(roles, traded, stock_after):
     n = len(roles)
@@ -421,6 +442,33 @@ class TestMonteCarlo:
             tracemalloc.stop()
         # the schedule's seller mask, price and threshold arrays take 17 bytes a step; allow 24
         assert peak <= 24 * len(s)
+
+
+class TestKernelAtTheDefaultSizes:
+    """Seeded runs at the real ``_STEP_SLAB`` and ``_TRIAL_CHUNK`` against the
+    step-by-step oracle: stock past int8 and uint8, and counted seller runs
+    with several trades per lane in a slab."""
+
+    @pytest.mark.parametrize("cap", [None, 200])
+    def test_stock_past_int8(self, cap):
+        # sellers sell and buyers buy with probability 0.99: stock passes 255, or holds at the cap
+        s, policy, trials = stream("S^300 B^300"), build_policy("fixed:0.99,0.01", U, U), 2 * 128 + 5
+        refs = resolve_trials_by_steps(s, policy, U, U, trial_rows(31, trials, len(s)), cap)
+        assert max(r.stock_after[299] for r in refs) == (200 if cap else 300)
+        assert min(r.stock_after[299] for r in refs) >= 200
+        for objective in ("profit", "welfare"):
+            got = _mc_samples(s, policy, U, U, trials, 31, cap, objective)
+            assert np.array_equal(got, [getattr(r, objective) for r in refs]), objective
+
+    def test_dense_decay_runs_in_a_full_and_a_ragged_chunk(self):
+        # 8320 trials: a chunk of 8192 and one of 128; q_1 = 1/e, so the first slab's
+        # 32 sellers trade about 3.3 times per lane, each at its own price
+        s, policy, trials = stream("S^64 B^64"), build_policy("decay:0.05", U, U), 8320
+        refs = resolve_trials_by_steps(s, policy, U, U, trial_rows(8, trials, len(s)))
+        assert np.mean([r.stock_after[31] for r in refs]) > 3
+        for objective in ("profit", "welfare"):
+            got = _mc_samples(s, policy, U, U, trials, 8, None, objective)
+            assert np.array_equal(got, [getattr(r, objective) for r in refs]), objective
 
 
 class TestProfitFromCounts:

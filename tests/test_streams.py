@@ -166,6 +166,18 @@ class TestGenerators:
     def test_random_balanced_empty(self, rng):
         assert len(random_alpha_balanced(2, 0, rng)) == 0
 
+    @pytest.mark.parametrize("alpha,m", [(2**70, 0), (2**70, 1), (1, 10**8)])
+    def test_random_balanced_answers_before_any_draw(self, alpha, m):
+        # no buyer is the empty stream for any alpha; past the role cap, a ValueError names it
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        if m == 0:
+            assert len(random_alpha_balanced(alpha, m, rng)) == 0
+        else:
+            with pytest.raises(ValueError, match="MAX_EXPANSION"):
+                random_alpha_balanced(alpha, m, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("alpha,m,draws", [(1, 5, 8400), (2, 3, 6000)])
     def test_random_balanced_is_uniform(self, alpha, m, draws):
         # 42 and 12 streams, 200 and 500 expected hits each; the p-value
