@@ -19,8 +19,8 @@ event as the value-space rule up to ties of measure zero.
 
 Prices are fixed before any value is drawn: ``_price_schedule`` builds the
 schedule (seller, price, thresh, cap) once per call for its three readers,
-``_mc_samples`` and ``run_trial`` (width 1, per-step trace), which pass it to
-the one kernel ``_resolve``, and ``expected_outcome``'s exact stock chain.
+``_mc_samples`` and ``run_trial`` (width 1, traced by its trade flags), which
+pass it to the one kernel ``_resolve``, and ``expected_outcome``'s stock chain.
 
 Determinism: every draw follows the lane-block layout of ``RandomStream``,
 the one place it is written, so trial i of a run replays exactly as
@@ -39,14 +39,14 @@ Dead buyers are skipped: when a slab would start on a buyer while no trial of
 the chunk holds stock, it starts at the next seller instead, and the run ends
 if none is left.  Once every trial's stock is gone, the kernel resolves at
 most the rest of the current slab, under ``_STEP_SLAB`` (32) steps.  Those
-buyers cannot trade, so stock, counts, spend and welfare are exactly what
-stepping through them would give.  Their draws are still consumed: the draw
-source skips over them, so step t still reads its own draw, and a trace
-still values every step from its own draw.
+buyers cannot trade, so stock, counts, spend, welfare and a trace's flags
+(False) are exactly what stepping through them would give.  The draw source
+skips their draws, so step t still reads its own draw, and so does a trace.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -135,8 +135,8 @@ class TradeLog:
     """Per-step trace of one trial.
 
     ``prices`` holds the posted price, NaN where the policy declined;
-    ``values`` the drawn valuations; ``stock_after`` the stock level once
-    the step resolved.
+    ``values`` the drawn valuations; ``traded`` the kernel's trade decisions;
+    ``stock_after`` the stock once the step resolved, their running sum.
     """
 
     roles: np.ndarray
@@ -180,8 +180,8 @@ def run_trial(
     stock_cap: int | None = None,
 ) -> TradeLog:
     """Run one trial through the Monte Carlo kernel and return its per-step
-    trace: prices, values, trades and stock levels.  The trial's profit and
-    welfare are those the kernel scores for it inside a run.
+    trace: prices, values, the kernel's trade flags and stock levels (their
+    running sum), exactly as the trial resolves inside a run.
 
     ``uniforms`` is one row of shape ``(n,)`` in step order: step t values
     its agent at ``quantile(uniforms[t])``.  The row
@@ -198,15 +198,14 @@ def run_trial(
     if row.shape != (len(stream),):
         raise ValueError(f"uniforms must have shape ({len(stream)},), got {row.shape}")
 
-    _, stock_after = _resolve(sched, f_s, f_b, (1,), lambda start, depth: row[start : start + depth, None], "profit")
-    traded = np.diff(stock_after, prepend=0) != 0  # every trade moves stock by one, nothing else does
+    _, traded = _resolve(sched, f_s, f_b, (1,), lambda start, depth: row[start : start + depth, None], "profit")
+    stock_after = np.cumsum(np.where(seller, 1, -1) * traded)  # a seller trade adds one item, a buyer trade takes one
 
     values = np.empty(len(stream))
     values[seller] = f_s.quantile(row[seller])
     values[~seller] = f_b.quantile(row[~seller])
-    if policy.stock_limit is not None:
-        before = np.concatenate(([0], stock_after[:-1]))
-        price = np.where(seller & (before >= policy.stock_limit), np.nan, price)
+    if policy.stock_limit is not None:  # a seller's stock before its step is stock_after - traded
+        price = np.where(seller & (stock_after - traded >= policy.stock_limit), np.nan, price)
     log = TradeLog(stream.roles, price, values, traded, stock_after)
     log.validate(cap)
     return log
@@ -301,20 +300,19 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     Dead buyers are skipped (see the module docstring), so ``draws`` is called
     with increasing starts that may jump past steps.  Returns the per-trial
     objective ("profit" or "welfare") and, for a single trial (shape ``(1,)``),
-    its per-step stock levels (an empty array otherwise), its only trace: a
-    step traded iff its stock moved.
+    its per-step trade flags (empty otherwise), False where no step ran.
 
     Per slab, flags ``u < thresh`` are written step-major (a buyer accepts on
-    False), stock moves in int8 counts from its slab-start level, a run of
-    uncapped sellers on the profit objective adds only its count, and varying
-    seller spend is added by ``np.add.at`` where a lane traded, in step order,
-    in runs cut at ``_RUN_LOAD`` expected trades per lane: all bit-identical.
+    False) and each step overwrites its row with its trades; stock moves in
+    int8 counts from its slab-start level, a run of uncapped sellers on the
+    profit objective adds only its count (its flags are its trades), and
+    varying seller spend is added by ``np.add.at`` where a lane traded, in step
+    order, in runs cut at ``_RUN_LOAD`` expected trades per lane: bit-identical.
     """
     assert 3 * _STEP_SLAB + 2 <= 127  # the int8 counts of a slab cannot wrap
     seller, price, thresh, cap = sched
     n = seller.size
     sellers = np.flatnonzero(seller)
-    trace = shape == (1,)
     capped = cap < sellers.size
     need_values = objective == "welfare"
     step_spend = not need_values and price.max(where=seller, initial=-np.inf) != price.min(where=seller, initial=np.inf)
@@ -322,9 +320,9 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     # per slab: a buyer has stock iff sold_in_slab < held, a seller has room iff held < roof
     held, sold_in_slab, roof = np.zeros((3, *shape), dtype=np.int8)
     accept = np.empty((_STEP_SLAB, *shape), dtype=bool)
-    trade, room = np.empty((2, *shape), dtype=bool)
+    room = np.empty(shape, dtype=bool)
     sums = np.zeros(shape)  # welfare, or spend at varying seller prices
-    stock_after = np.zeros(n if trace else 0, dtype=np.int64)
+    traded = np.zeros(n if shape == (1,) else 0, dtype=bool)
     slab_start = 0
     while slab_start < n:
         if not seller[slab_start] and not stock.any():
@@ -347,8 +345,8 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
         sells, ths = seller[window].tolist(), thresh[window].tolist()
         k = 0
         while k < len(sells):
-            k1 = k + 1
-            if sells[k] and not (capped or need_values or trace):  # the run needs only its count
+            k1, row = k + 1, flags[k]  # a step overwrites its row with its trades
+            if sells[k] and not (capped or need_values):  # the run needs only its count
                 load = ths[k]
                 while k1 < len(sells) and sells[k1] and (not step_spend or load + ths[k1] <= _RUN_LOAD):
                     k1, load = k1 + 1, load + ths[k1]
@@ -358,22 +356,23 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
                     steps, lanes = np.divmod(np.flatnonzero(run), sums.size)
                     np.add.at(sums.reshape(-1), lanes, price[slab_start + k + steps])
             elif sells[k]:
-                row = np.logical_and(flags[k], np.less(held, roof, out=room), out=trade) if capped else flags[k]
+                if capped:
+                    np.logical_and(row, np.less(held, roof, out=room), out=row)
                 held += row.view(np.int8)
                 if need_values:
                     sums += ~row * f_s.inverse_cdf(slab[..., k, :])
                 elif step_spend:
                     sums += row * price[slab_start + k]
             else:
-                row = np.greater(np.less(sold_in_slab, held, out=room), flags[k], out=trade)  # stock and no accept
+                np.greater(np.less(sold_in_slab, held, out=room), row, out=row)  # stock and no accept
                 sold_in_slab += row.view(np.int8)
                 if capped:
                     roof += row.view(np.int8)
                 if need_values:
                     sums += row * f_b.inverse_cdf(slab[..., k, :])
-            if trace:
-                stock_after[slab_start + k] = stock[0] + held[0] - sold_in_slab[0]
             k = k1
+        if traded.size:  # a width-1 call
+            traded[window] = flags[:, 0]
         stock += held
         stock -= sold_in_slab
         sold += sold_in_slab
@@ -381,7 +380,7 @@ def _resolve(sched, f_s, f_b, shape, draws, objective):
     if not need_values:
         spend = sums if step_spend else _fold_sums(price[sellers[0]], sold + stock)
         sums = np.subtract(_fold_sums(price[seller.argmin()] if n else 0.0, sold), spend, out=spend)
-    return sums, stock_after
+    return sums, traded
 
 
 def _fold_sums(x, counts):
@@ -422,4 +421,9 @@ def monte_carlo(
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     samples = _mc_samples(stream, policy, f_s, f_b, trials, seed, stock_cap, objective)
-    return MCEstimate.from_samples(samples)
+    with contextlib.suppress(OverflowError):  # math.fsum of finite samples past float64
+        est = MCEstimate.from_samples(samples)
+        if math.isfinite(est.mean) and math.isfinite(est.std_err):  # the one finiteness rule of every command
+            return est
+    names = getattr(policy, "spec", type(policy).__name__), getattr(f_s, "spec", f_s), getattr(f_b, "spec", f_b)
+    raise ValueError("the {} estimate of {} on {}/{} is not finite".format(objective, *names))

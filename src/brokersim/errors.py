@@ -28,7 +28,7 @@ def parse_spec(text: str, what: str, kinds: dict, *context):
     parameter, and a constructor called as ``constructor(*params, *context)``.
     An unknown kind, a wrong parameter count, a parameter its cast rejects or
     a ValueError from the constructor is a SpecParseError naming ``text``; a
-    RegularityError passes through unchanged.
+    RegularityError passes through unchanged.  It keeps ``text`` as ``spec``.
     """
     kind, _, rest = text.strip().partition(":")
     kind = kind.strip().lower()
@@ -41,8 +41,10 @@ def parse_spec(text: str, what: str, kinds: dict, *context):
         raise SpecParseError(f"{what} spec {text!r}: {problem}; {kind!r} takes {len(casts)}")
     try:
         values = [cast(tok) for cast, tok in zip(casts, params)]
-        return constructor(*values, *context)
+        built = constructor(*values, *context)
     except RegularityError:
         raise
     except ValueError as exc:
         raise SpecParseError(f"invalid {what} spec {text!r}: {exc}") from None
+    object.__setattr__(built, "spec", text.strip())  # later errors name it as written, not by its float repr
+    return built

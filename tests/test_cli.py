@@ -217,6 +217,17 @@ class TestExperiment:
         assert "profit-sqrt-n" in err and "uniform:0,1" in err and "uniform:0,0.5" in err
         assert not out_path.exists()
 
+    def test_float64_overflow_is_a_one_line_usage_error(self, capsys, tmp_path):
+        # the welfare samples overflow math.fsum: the engine's one finiteness rule serves simulate and experiment
+        out_path = tmp_path / "rows.csv"
+        argv = ["experiment", "welfare-log-n", "--n-values", "16", "--trials", "100"]
+        argv += ["--seller-dist", "uniform:0,1e308", "--buyer-dist", "uniform:0,1e308", "--out", str(out_path)]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "welfare estimate" in err and "uniform:0,1e308" in err
+        assert not out_path.exists()
+
     def test_bad_n_values_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "balanced", "--n-values", "20,x"])

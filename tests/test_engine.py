@@ -362,6 +362,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(stream("SB"), FixedPricePolicy(0.5, 0.5), U, U, 10, 0, stock_cap=0)
 
+    def test_an_estimate_not_finite_in_float64_is_refused(self):
+        # every trial spends 1e308 and sells nothing, so math.fsum overflows; a policy built
+        # in code has no spec and is named by its class
+        with pytest.raises(ValueError, match="profit estimate of FixedPricePolicy on uniform:0,1/uniform:0,1 is not"):
+            monte_carlo(stream("SB"), FixedPricePolicy(1e308, 1e308), U, U, 1000, 1)
+
     @pytest.mark.parametrize(
         "policy_factory,f_s,f_b,cap",
         [
@@ -578,9 +584,11 @@ class TestDeadBuyerSkip:
         for objective in ("profit", "welfare"):
             got = _mc_samples(s, policy, f_s, f_b, trials, 2718, cap, objective)
             assert np.array_equal(got, [getattr(r, objective) for r in ref]), objective
+        # the whole trace, step by step: uncapped profit sellers take the kernel's run-count branch here
         for i, r in enumerate(ref):
             log = run_trial(s, policy, f_s, f_b, rows[i], stock_cap=cap)
-            assert log.stock_after[-1] == r.leftover, i
+            assert log.traded.tolist() == r.traded, i
+            assert log.stock_after.tolist() == r.stock_after, i
 
     def test_a_chunk_jumps_to_the_next_seller(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "_STEP_SLAB", 4)
